@@ -154,45 +154,6 @@ fn flc_batch_sweep() -> Scenario {
     )
 }
 
-/// The FLC sweep through the lockstep convoy engine: the same 30 widths
-/// as `flc_batch_sweep`, but with [`LANES`](flc_lockstep_sweep) variant
-/// lanes per width so every width forms one convoy that fetches and
-/// schedules its instruction stream once for all lanes. Runs at the same
-/// thread count as `flc_batch_sweep`; the acceptance bar is aggregate
-/// throughput >3x the scalar batch path.
-fn flc_lockstep_sweep() -> Scenario {
-    const WIDTHS: std::ops::RangeInclusive<u32> = 1..=30;
-    const LANES: usize = 32;
-    let mut systems: Vec<System> = Vec::with_capacity(30 * LANES);
-    for w in WIDTHS {
-        let sys = refined_flc_shared(w);
-        for _ in 0..LANES {
-            systems.push(sys.clone());
-        }
-    }
-    let runner = crate::batch::BatchRunner::new().with_lockstep(true);
-    let mut instrs = 0u64;
-    let mut runs = 0u64;
-    let start = Instant::now();
-    let (reports, stats) = runner.run_lockstep(&systems);
-    for report in reports {
-        instrs += report.expect("lockstep sim").total_instrs();
-        runs += 1;
-    }
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(
-        stats.peeled_lanes, 0,
-        "identical FLC lanes must stay in lockstep: {stats:?}"
-    );
-    scenario(
-        "flc_lockstep_sweep",
-        runs,
-        instrs,
-        wall,
-        runner.total_threads(),
-    )
-}
-
 /// The end-to-end Fig. 7 sweep (refinement + simulation per width).
 fn fig7_full_sweep() -> Scenario {
     let start = Instant::now();
@@ -341,7 +302,6 @@ pub fn run() -> PerfData {
         scenarios: vec![
             flc_kernel_sweep(),
             flc_batch_sweep(),
-            flc_lockstep_sweep(),
             fig7_full_sweep(),
             quickstart_pipeline(),
             big_system_scalar(),

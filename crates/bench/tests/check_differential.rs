@@ -1,6 +1,6 @@
 //! Differential suite for the scaled model checker.
 //!
-//! The exploration core has three fast paths whose soundness this suite
+//! The exploration core has two fast paths whose soundness this suite
 //! pins against the plain scalar engine:
 //!
 //! * **partial-order reduction** — singleton ample sets must preserve
@@ -8,10 +8,7 @@
 //!   completion bound, and (via replay delegation) the byte-exact
 //!   counterexample reports of the unreduced explorer;
 //! * **parallel frontier exploration** — 1/2/4/8 worker threads must
-//!   produce the identical state graph and identical report strings;
-//! * **bitstate dedup** — lossy fingerprint dedup may merge states, but
-//!   on the pinned catalog it must never flip a known FAIL into a PASS
-//!   (a lost counterexample would gut the campaign's regression value).
+//!   produce the identical state graph and identical report strings.
 //!
 //! The cells are the five pinned known-counterexample scenarios of the
 //! `experiments check` campaign (plain/hardened baselines under a stuck
@@ -357,34 +354,6 @@ fn randomized_synth_fields_agree_across_engines() {
                 "seed {seed}: {} scratch-state allocations",
                 ss.stats().state_allocs
             );
-        }
-    }
-}
-
-/// Bitstate mode is one-sided: it may merge distinct states, but on the
-/// pinned catalog every known FAIL must stay a FAIL — a collision that
-/// swallowed a counterexample would make the lossy mode useless.
-#[test]
-fn bitstate_never_flips_a_pinned_fail_into_a_pass() {
-    for cell in catalog() {
-        let exact = {
-            let ck = checker(&cell, CheckConfig::new());
-            let ss = ck.explore().expect("explore");
-            report(&cell, &ss)
-        };
-        let bits = {
-            let ck = checker(&cell, CheckConfig::new().with_bitstate(28));
-            let ss = ck.explore().expect("explore");
-            report(&cell, &ss)
-        };
-        for (i, (&e, &b)) in exact.holds.iter().zip(&bits.holds).enumerate() {
-            if !e {
-                assert!(
-                    !b,
-                    "{}: property #{i} flipped FAIL→PASS under bitstate dedup",
-                    cell.name
-                );
-            }
         }
     }
 }

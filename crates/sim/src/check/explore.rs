@@ -10,9 +10,9 @@
 //! mutation — interning, dedup, state numbering, edge/parent recording —
 //! happens in a serial *commit* pass that walks the level in state
 //! order. Discovery order is therefore exactly the seed's FIFO order,
-//! and state numbering, pool-id assignment (hence fingerprints and
-//! bitstate collisions), error propagation order and the max-states
-//! abort point are all byte-identical at every thread count.
+//! and state numbering, pool-id assignment (hence fingerprints), error
+//! propagation order and the max-states abort point are all
+//! byte-identical at every thread count.
 //!
 //! # Partial-order reduction
 //!
@@ -580,10 +580,7 @@ impl<'a> Checker<'a> {
             },
             bounded: None,
         };
-        let mut dedup = match self.config.bitstate_bits {
-            Some(bits) => Dedup::bitstate(bits),
-            None => Dedup::exact(),
-        };
+        let mut dedup = Dedup::new();
 
         let mut init = self.initial_state();
         state_allocs += 1;

@@ -1,8 +1,8 @@
 //! Explicit-state model checking of specification IR.
 //!
 //! The simulator executes *one* schedule; the checker executes *all* of
-//! them. It interprets the same compiled [`Program`] the kernel runs, but
-//! under a nondeterministic scheduler and an optional adversarial fault
+//! them. It runs the same compiled [`Program`] through the same
+//! interpreter as the kernel, but under a nondeterministic scheduler and an optional adversarial fault
 //! environment, enumerating every reachable system state by breadth-first
 //! exploration. Over the explored graph it decides:
 //!
@@ -82,8 +82,7 @@
 //!   thread count;
 //! * **bounded exploration** — [`CheckConfig::with_state_limit`] stops at
 //!   a state budget with a structured [`Verdict::Bounded`] instead of an
-//!   error (or OOM), and [`CheckConfig::with_bitstate`] opts into lossy
-//!   fingerprint-only dedup for sweeps beyond exact-memory reach.
+//!   error (or OOM).
 
 mod explore;
 mod fx;
@@ -94,13 +93,11 @@ mod step;
 #[cfg(test)]
 mod tests;
 
-use std::sync::Arc;
-
 use ifsyn_estimate::CostModel;
 use ifsyn_spec::System;
 
 use crate::error::SimError;
-use crate::program::{Code, Program};
+use crate::program::Program;
 
 use por::PorTables;
 use state::Layout;
@@ -168,13 +165,6 @@ pub struct CheckConfig {
     /// reporting [`Verdict::Bounded`] — unlike
     /// [`CheckConfig::max_states`], which treats exhaustion as an error.
     pub state_limit: Option<usize>,
-    /// Lossy bitstate dedup over this many fingerprint bits (8..=63).
-    /// Invariant and terminal violations found are real (their witness
-    /// states were concretely reached); absence of violations proves
-    /// nothing. Leads-to failures are reported
-    /// [`Verdict::Inconclusive`] (a collision can forge unreachability)
-    /// and completion bounds are unavailable.
-    pub bitstate_bits: Option<u32>,
     /// Partial-order reduction (on by default; verdict-preserving).
     pub por: bool,
     /// Signals property predicates may read, by name (`None` = all).
@@ -194,7 +184,6 @@ impl Default for CheckConfig {
             cost_model: CostModel::new(),
             threads: 1,
             state_limit: None,
-            bitstate_bits: None,
             por: true,
             observed_signals: None,
             observed_variables: None,
@@ -235,16 +224,6 @@ impl CheckConfig {
         self
     }
 
-    /// Enables lossy bitstate dedup over `bits` fingerprint bits
-    /// (clamped to 8..=63). One-sided for invariant and terminal
-    /// checks only; leads-to failures become
-    /// [`Verdict::Inconclusive`] and
-    /// [`StateSpace::worst_cost_to_quiescence`] returns `None`.
-    pub fn with_bitstate(mut self, bits: u32) -> Self {
-        self.bitstate_bits = Some(bits);
-        self
-    }
-
     /// Disables partial-order reduction.
     pub fn without_por(mut self) -> Self {
         self.por = false;
@@ -269,8 +248,7 @@ impl CheckConfig {
 /// An explicit-state model checker over one compiled system.
 pub struct Checker<'a> {
     system: &'a System,
-    behaviors: Vec<Arc<Code>>,
-    procedures: Vec<Arc<Code>>,
+    program: Program,
     /// Configured faults with their signal names resolved to indices.
     faults: Vec<(usize, EnvFault)>,
     config: CheckConfig,
@@ -360,8 +338,7 @@ impl<'a> Checker<'a> {
         };
         Ok(Self {
             system,
-            behaviors: program.behaviors,
-            procedures: program.procedures,
+            program,
             faults,
             config,
             max_regs,

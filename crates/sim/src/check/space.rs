@@ -15,9 +15,9 @@
 //!   verdict-preserving, so the verdict cannot change; what replay buys
 //!   is byte-identical failure reports — the same first-failing state,
 //!   trace and state count the seed explorer printed. Passing reports
-//!   skip replay entirely (that is where the speed lives); bitstate and
-//!   bounded runs never replay (their graphs are intentionally partial,
-//!   and their caveats are documented in `docs/ROBUSTNESS.md`).
+//!   skip replay entirely (that is where the speed lives); bounded runs
+//!   never replay (their graphs are intentionally partial, and their
+//!   caveats are documented in `docs/ROBUSTNESS.md`).
 
 use std::cell::OnceCell;
 use std::collections::VecDeque;
@@ -25,7 +25,7 @@ use std::fmt;
 
 use ifsyn_spec::Value;
 
-use crate::diagnose::{find_cycles, BlockedWait, DeadlockDiagnosis};
+use crate::diagnose::{diagnose, DeadlockDiagnosis, Parked};
 use crate::exec::RegFile;
 use crate::kernel::render_expr;
 use crate::program::{Instr, WaitSpec};
@@ -121,11 +121,6 @@ pub enum Verdict {
     /// No violation found, but exploration stopped at the configured
     /// state budget — the unexplored frontier may hide one.
     Bounded,
-    /// The check failed on a lossy bitstate graph whose fingerprint
-    /// collisions can forge exactly this kind of failure (a merged
-    /// successor makes a real goal path invisible): neither a proof nor
-    /// a trace-checkable violation. Re-run with exact dedup to confirm.
-    Inconclusive,
 }
 
 /// The result of checking one property over an explored state space.
@@ -159,12 +154,6 @@ impl fmt::Display for PropertyReport {
                     self.name, self.states, b.limit, b.frontier
                 )
             }
-            Verdict::Inconclusive => write!(
-                f,
-                "INCONC {} ({} states; a bitstate fingerprint collision \
-                 can forge this failure — rerun with exact dedup to confirm)",
-                self.name, self.states
-            ),
             Verdict::Fail => {
                 write!(f, "FAIL  {} ({} states)", self.name, self.states)?;
                 if let Some(cex) = &self.counterexample {
@@ -455,27 +444,23 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
         let ck = self.ck;
         let st = self.materialize(state);
         let mut regs = RegFile::with_capacity(ck.max_regs as usize);
-        // (pid, rendered wait, sensitivity signal indices)
-        let mut entries: Vec<(usize, String, Vec<usize>)> = Vec::new();
+        let mut parked = Vec::new();
         for (pid, p) in st.procs.iter().enumerate() {
             if p.done {
                 continue;
             }
             let Some(f) = p.frames.last() else { continue };
-            let Some(Instr::Wait(spec)) = ck.block(f.code).instrs.get(f.pc) else {
+            let Some(Instr::Wait(spec)) = ck.tables().block(f.code).instrs.get(f.pc) else {
                 continue;
             };
-            let (satisfied, wait, sens) = match spec {
+            let (wait, sens) = match spec {
                 WaitSpec::ForCycles(_) | WaitSpec::OnSignals(_) => continue,
                 WaitSpec::Until(cond) | WaitSpec::UntilTimeout { cond, .. } => (
-                    ck.eval_bool(&st, pid, &cond.code, &mut regs)
-                        .unwrap_or(false),
                     format!("wait until {}", render_expr(ck.system, &cond.display)),
                     cond.sensitivity.iter().map(|s| s.index()).collect(),
                 ),
                 WaitSpec::UntilSignalIs { signal, value }
                 | WaitSpec::UntilSignalIsTimeout { signal, value, .. } => (
-                    st.signals[signal.index()] == *value,
                     format!(
                         "wait until {} = {value}",
                         ck.system.signals[signal.index()].name
@@ -483,73 +468,16 @@ impl<'x, 'a> SpaceRef<'x, 'a> {
                     vec![signal.index()],
                 ),
             };
-            if !satisfied {
-                entries.push((pid, wait, sens));
+            // An evaluation error counts as "not satisfied".
+            if ck.parked_wait_holds(&st, pid, &mut regs).ok().flatten() != Some(true) {
+                parked.push(Parked {
+                    behavior: pid,
+                    wait,
+                    sens,
+                });
             }
         }
-        if entries.is_empty() {
-            return None;
-        }
-        let blocked = entries
-            .iter()
-            .map(|(pid, wait, sens)| BlockedWait {
-                behavior: ck.system.behaviors[*pid].name.clone(),
-                wait: wait.clone(),
-                observed: sens
-                    .iter()
-                    .map(|&s| (ck.system.signals[s].name.clone(), st.signals[s].to_string()))
-                    .collect(),
-            })
-            .collect();
-        let writes: Vec<Vec<bool>> = entries
-            .iter()
-            .map(|(pid, _, _)| self.written_signals(*pid))
-            .collect();
-        let edges: Vec<Vec<usize>> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, (_, _, sens))| {
-                (0..entries.len())
-                    .filter(|&j| j != i && sens.iter().any(|&s| writes[j][s]))
-                    .collect()
-            })
-            .collect();
-        let cycles = find_cycles(entries.len(), &edges)
-            .into_iter()
-            .map(|cycle| {
-                cycle
-                    .into_iter()
-                    .map(|i| ck.system.behaviors[entries[i].0].name.clone())
-                    .collect()
-            })
-            .collect();
-        Some(DeadlockDiagnosis {
-            time,
-            blocked,
-            cycles,
-        })
-    }
-
-    /// Signals a behavior's code can drive, including through called
-    /// procedures (transitively); indexed by signal index.
-    fn written_signals(&self, behavior: usize) -> Vec<bool> {
-        let ck = self.ck;
-        let mut out = vec![false; ck.system.signals.len()];
-        let mut visited = vec![false; ck.procedures.len()];
-        let mut stack: Vec<&[Instr]> = vec![&ck.behaviors[behavior].instrs];
-        while let Some(instrs) = stack.pop() {
-            for instr in instrs {
-                match instr {
-                    Instr::SignalWrite { signal, .. } => out[signal.index()] = true,
-                    Instr::Call { procedure, .. } if !visited[*procedure] => {
-                        visited[*procedure] = true;
-                        stack.push(&ck.procedures[*procedure].instrs);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out
+        diagnose(ck.system, &ck.program, &st.signals, time, parked)
     }
 }
 
@@ -572,18 +500,16 @@ impl<'a> StateSpace<'a> {
     /// `true` when the explored graph is exactly the seed explorer's:
     /// no reduction fired, exact dedup, exploration ran to completion.
     fn faithful(&self) -> bool {
-        self.g.stats.ample_states == 0
-            && self.checker.config.bitstate_bits.is_none()
-            && self.g.bounded.is_none()
+        self.g.stats.ample_states == 0 && self.g.bounded.is_none()
     }
 
     /// The POR-off replay space for failure reporting, built on first
-    /// use. `None` when replay is unavailable (bitstate or bounded runs,
+    /// use. `None` when replay is unavailable (bounded runs,
     /// or the replay exploration itself erroring out — the reduced-space
     /// counterexample, still a real trace, is used instead).
     fn replay_ref(&self) -> Option<SpaceRef<'_, 'a>> {
         let replay = self.replay.get_or_init(|| {
-            if self.checker.config.bitstate_bits.is_some() || self.g.bounded.is_some() {
+            if self.g.bounded.is_some() {
                 return None;
             }
             let mut cfg = self.checker.config.clone();
@@ -707,19 +633,7 @@ impl<'a> StateSpace<'a> {
         goal: impl Fn(&StateView<'_>) -> bool,
     ) -> PropertyReport {
         let rep = self.main().check_leads_to(name, &premise, &goal);
-        let mut rep = self.resolve(rep, |r| r.check_leads_to(name, &premise, &goal));
-        // Bitstate collisions merge distinct states, so "the goal is
-        // unreachable from this premise state" can be a collision
-        // artifact: the colliding successor's real continuations were
-        // never explored. Unlike invariant/terminal violations — whose
-        // witness states were concretely reached and whose traces
-        // replay — a bitstate leads-to failure is not trace-checkable,
-        // so it is downgraded to an explicit inconclusive verdict.
-        if rep.verdict == Verdict::Fail && self.checker.config.bitstate_bits.is_some() {
-            rep.verdict = Verdict::Inconclusive;
-            rep.counterexample = None;
-        }
-        rep
+        self.resolve(rep, |r| r.check_leads_to(name, &premise, &goal))
     }
 
     /// The maximum total cycle cost over all maximal paths from the
@@ -730,12 +644,9 @@ impl<'a> StateSpace<'a> {
     /// every in-budget fault pattern) reaches quiescence within the
     /// returned number of cycles. Partial-order reduction preserves the
     /// bound: reduced paths are permutations of full paths with the same
-    /// transition multiset, hence the same total cost. Bitstate runs
-    /// also return `None`: a fingerprint collision can both hide the
-    /// costliest path and forge a spurious cycle, so neither a number
-    /// nor an "unbounded" answer would be trustworthy.
+    /// transition multiset, hence the same total cost.
     pub fn worst_cost_to_quiescence(&self) -> Option<u64> {
-        if self.g.bounded.is_some() || self.checker.config.bitstate_bits.is_some() {
+        if self.g.bounded.is_some() {
             return None;
         }
         self.main().worst_cost_to_quiescence()

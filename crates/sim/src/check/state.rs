@@ -17,66 +17,20 @@
 //! Interning is canonical (equal components share one id), so two states
 //! are equal iff their `CompactState`s are equal — exact dedup compares
 //! 16 bytes instead of whole states. A 64-bit fingerprint over the ids
-//! shards the dedup table and drives the opt-in lossy bitstate mode.
+//! shards the dedup table.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use ifsyn_spec::{System, Ty, Value};
+use ifsyn_spec::{System, Value};
 
 use super::fx::{fx_hash, splitmix, BuildFx};
-use crate::process::{CodeRef, ResolvedPlace};
-
-/// One call frame of a checker process: the kernel's frame shape with
-/// `Eq + Hash` so whole states can be interned.
-#[derive(Debug, PartialEq, Eq, Hash)]
-pub(super) struct CkFrame {
-    pub code: CodeRef,
-    pub pc: usize,
-    pub locals: Vec<Value>,
-    pub loop_bounds: Vec<i64>,
-    pub copyback: Vec<(usize, ResolvedPlace, Ty)>,
-}
-
-impl CkFrame {
-    pub fn new(code: CodeRef, locals: Vec<Value>) -> Self {
-        Self {
-            code,
-            pc: 0,
-            locals,
-            loop_bounds: Vec::new(),
-            copyback: Vec::new(),
-        }
-    }
-}
-
-impl Clone for CkFrame {
-    fn clone(&self) -> Self {
-        Self {
-            code: self.code,
-            pc: self.pc,
-            locals: self.locals.clone(),
-            loop_bounds: self.loop_bounds.clone(),
-            copyback: self.copyback.clone(),
-        }
-    }
-
-    /// Buffer-reusing copy: scratch states are rebuilt once per explored
-    /// state, so keeping the `Vec` spines alive is the difference between
-    /// an allocation-free hot loop and three allocations per transition.
-    fn clone_from(&mut self, src: &Self) {
-        self.code = src.code;
-        self.pc = src.pc;
-        self.locals.clone_from(&src.locals);
-        self.loop_bounds.clone_from(&src.loop_bounds);
-        self.copyback.clone_from(&src.copyback);
-    }
-}
+use crate::process::Frame;
 
 /// Control state of one behavior instance.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub(super) struct CkProc {
-    pub frames: Vec<CkFrame>,
+    pub frames: Vec<Frame>,
     pub done: bool,
 }
 
@@ -297,7 +251,7 @@ pub(super) struct CompactState {
 
 impl CompactState {
     /// 64-bit fingerprint over the component ids: shards the dedup
-    /// table, and is the whole identity in bitstate mode.
+    /// table.
     #[inline]
     pub fn fingerprint(self) -> u64 {
         let a = splitmix(u64::from(self.sig) | (u64::from(self.var) << 32));
@@ -313,53 +267,24 @@ fn shard_of(fp: u64) -> usize {
     (fp >> 48) as usize & (DEDUP_SHARDS - 1)
 }
 
-/// The visited-state index, sharded by fingerprint.
-///
-/// `Exact` maps the full 16-byte [`CompactState`] (collision-free, since
-/// interned ids are canonical). `Bitstate` keys only the masked 64-bit
-/// fingerprint: distinct states whose masked fingerprints collide are
-/// merged, so exploration becomes a lossy sweep — any violation found is
-/// real, but absence of one proves nothing (see the ROBUSTNESS docs).
-pub(super) enum Dedup {
-    Exact(Vec<HashMap<CompactState, u32, BuildFx>>),
-    Bitstate {
-        mask: u64,
-        shards: Vec<HashMap<u64, u32, BuildFx>>,
-    },
-}
+/// The visited-state index: the full 16-byte [`CompactState`] (exact,
+/// since interned ids are canonical), sharded by fingerprint.
+pub(super) struct Dedup(Vec<HashMap<CompactState, u32, BuildFx>>);
 
 impl Dedup {
-    pub fn exact() -> Self {
-        Dedup::Exact((0..DEDUP_SHARDS).map(|_| HashMap::default()).collect())
-    }
-
-    pub fn bitstate(bits: u32) -> Self {
-        let bits = bits.clamp(8, 63);
-        Dedup::Bitstate {
-            mask: (1u64 << bits) - 1,
-            shards: (0..DEDUP_SHARDS).map(|_| HashMap::default()).collect(),
-        }
+    pub fn new() -> Self {
+        Dedup((0..DEDUP_SHARDS).map(|_| HashMap::default()).collect())
     }
 
     /// Looks up a state without inserting.
     #[inline]
     pub fn probe(&self, cs: CompactState, fp: u64) -> Option<u32> {
-        match self {
-            Dedup::Exact(shards) => shards[shard_of(fp)].get(&cs).copied(),
-            Dedup::Bitstate { mask, shards } => shards[shard_of(fp)].get(&(fp & mask)).copied(),
-        }
+        self.0[shard_of(fp)].get(&cs).copied()
     }
 
     /// Records a newly discovered state's index.
     #[inline]
     pub fn insert(&mut self, cs: CompactState, fp: u64, id: u32) {
-        match self {
-            Dedup::Exact(shards) => {
-                shards[shard_of(fp)].insert(cs, id);
-            }
-            Dedup::Bitstate { mask, shards } => {
-                shards[shard_of(fp)].insert(fp & *mask, id);
-            }
-        }
+        self.0[shard_of(fp)].insert(cs, id);
     }
 }

@@ -402,10 +402,7 @@ fn por_never_hides_procedure_copyback_writes() {
         call(give, vec![Arg::Out(var(sh))]),
         wait_cycles(1),
     ];
-    sys.behavior_mut(q).body = vec![
-        assign(var(r1), signal(a)),
-        assign(var(r2), load(var(sh))),
-    ];
+    sys.behavior_mut(q).body = vec![assign(var(r1), signal(a)), assign(var(r2), load(var(sh)))];
     // Seeing `A` high with `sh` still 0 requires scheduling Q entirely
     // between P's call and P's copy-back — i.e. from the mid-procedure
     // state, exactly the state a copy-back-blind ample set would commit
@@ -438,7 +435,9 @@ fn state_limit_supersedes_the_hard_state_cap() {
         CheckConfig::new().with_max_states(20).with_state_limit(50),
     )
     .unwrap();
-    let ss = ck.explore().expect("budgeted run must not hit the hard cap");
+    let ss = ck
+        .explore()
+        .expect("budgeted run must not hit the hard cap");
     let b = ss.bounded().expect("budget must bound the run");
     assert_eq!(b.limit, 50);
     assert!(ss.state_count() >= 50);
@@ -450,63 +449,15 @@ fn state_limit_supersedes_the_hard_state_cap() {
             .with_state_limit(1_000_000),
     )
     .unwrap();
-    let ss = ck.explore().expect("budgeted run must not hit the hard cap");
+    let ss = ck
+        .explore()
+        .expect("budgeted run must not hit the hard cap");
     assert!(ss.bounded().is_none(), "the space fits the budget");
     assert!(ss.state_count() > 20);
     // Without a budget the hard cap still aborts.
     let ck = Checker::with_config(&sys, CheckConfig::new().with_max_states(20)).unwrap();
     let err = ck.explore().err().expect("hard cap must abort");
     assert!(err.to_string().contains("exceeds 20 states"));
-}
-
-/// Bitstate one-sidedness covers invariant/terminal violations (their
-/// witness states were concretely reached). A leads-to failure is a
-/// *reachability* claim a fingerprint collision can forge, so under
-/// bitstate it must surface as INCONC, and no completion bound may be
-/// certified.
-#[test]
-fn bitstate_downgrades_leads_to_failures_to_inconclusive() {
-    let mut sys = System::new("nogrant");
-    let m = sys.add_module("chip");
-    let cl = sys.add_behavior("CLIENT", m);
-    let req = sys.add_signal("REQ", Ty::Bit);
-    let _gnt = sys.add_signal("GNT", Ty::Bit);
-    sys.behavior_mut(cl).body = vec![drive(req, bit_const(true))];
-    let premise = |v: &StateView<'_>| v.signal_high("REQ") && !v.signal_high("GNT");
-    let goal = |v: &StateView<'_>| v.signal_high("GNT");
-    let exact = Checker::new(&sys).unwrap();
-    let es = exact.explore().unwrap();
-    let er = es.check_leads_to("eventual_grant", premise, goal);
-    assert_eq!(er.verdict, Verdict::Fail, "the grant genuinely never comes");
-    assert!(er.counterexample.is_some());
-    assert!(es.worst_cost_to_quiescence().is_some());
-
-    let lossy = Checker::with_config(&sys, CheckConfig::new().with_bitstate(32)).unwrap();
-    let ls = lossy.explore().unwrap();
-    let lr = ls.check_leads_to("eventual_grant", premise, goal);
-    assert_eq!(lr.verdict, Verdict::Inconclusive);
-    assert!(!lr.holds, "inconclusive is not a proof");
-    assert!(lr.counterexample.is_none(), "no trace-checkable witness");
-    let line = lr.to_string();
-    assert!(line.starts_with("INCONC"), "{line}");
-    assert_eq!(
-        ls.worst_cost_to_quiescence(),
-        None,
-        "a lossy graph cannot certify a completion bound"
-    );
-}
-
-#[test]
-fn bitstate_mode_explores_the_small_space_exactly() {
-    let sys = handshake();
-    let exact = Checker::new(&sys).unwrap();
-    let lossy = Checker::with_config(&sys, CheckConfig::new().with_bitstate(32)).unwrap();
-    let es = exact.explore().unwrap();
-    let ls = lossy.explore().unwrap();
-    // At 32 fingerprint bits over a handful of states, collisions are
-    // (deterministically) absent: the sweep matches the exact graph.
-    assert_eq!(es.state_count(), ls.state_count());
-    assert!(ls.check_terminal("completes", |v| v.all_done()).holds);
 }
 
 #[test]

@@ -9,6 +9,10 @@
 
 use std::fmt;
 
+use ifsyn_spec::{System, Value};
+
+use crate::program::Program;
+
 /// One blocked process and what it is waiting for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockedWait {
@@ -70,13 +74,76 @@ impl fmt::Display for DeadlockDiagnosis {
     }
 }
 
+/// One blocked process as an engine sees it.
+pub(crate) struct Parked {
+    /// Behavior index.
+    pub behavior: usize,
+    /// The rendered wait it is suspended on.
+    pub wait: String,
+    /// Indices of the signals the wait is sensitive to.
+    pub sens: Vec<usize>,
+}
+
+/// Builds the diagnosis of `parked` processes against the current
+/// signal values, or `None` when nothing is parked.
+///
+/// Wait-for edges: blocked A -> blocked B when B's code can write a
+/// signal A is sensitive to. With every potential writer of A's wakeup
+/// signals itself blocked, the cycle is unbreakable.
+pub(crate) fn diagnose(
+    system: &System,
+    program: &Program,
+    signals: &[Value],
+    time: u64,
+    parked: Vec<Parked>,
+) -> Option<DeadlockDiagnosis> {
+    if parked.is_empty() {
+        return None;
+    }
+    let writes: Vec<Vec<bool>> = parked
+        .iter()
+        .map(|p| program.written_signals(p.behavior, signals.len()))
+        .collect();
+    let edges: Vec<Vec<usize>> = parked
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            (0..parked.len())
+                .filter(|&j| j != i && p.sens.iter().any(|&s| writes[j][s]))
+                .collect()
+        })
+        .collect();
+    let name = |p: &Parked| system.behaviors[p.behavior].name.clone();
+    let cycles = find_cycles(parked.len(), &edges)
+        .into_iter()
+        .map(|cycle| cycle.into_iter().map(|i| name(&parked[i])).collect())
+        .collect();
+    let blocked = parked
+        .iter()
+        .map(|p| BlockedWait {
+            behavior: name(p),
+            wait: p.wait.clone(),
+            observed: p
+                .sens
+                .iter()
+                .map(|&s| (system.signals[s].name.clone(), signals[s].to_string()))
+                .collect(),
+        })
+        .collect();
+    Some(DeadlockDiagnosis {
+        time,
+        blocked,
+        cycles,
+    })
+}
+
 /// Finds elementary cycles in a wait-for graph given as adjacency lists
 /// (`edges[i]` = processes that `i` waits for). Returns each cycle once,
 /// as the list of node indices in cycle order.
 ///
 /// The graphs here are tiny (blocked processes of one simulation), so a
 /// simple DFS with a recursion stack suffices.
-pub(crate) fn find_cycles(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn find_cycles(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let mut cycles: Vec<Vec<usize>> = Vec::new();
     let mut color = vec![0u8; n]; // 0 = white, 1 = on stack, 2 = done
     let mut stack: Vec<usize> = Vec::new();

@@ -5,16 +5,17 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{mpsc, Arc};
 
 use ifsyn_partition::{plan_shards, ShardPlan};
-use ifsyn_spec::{BitVec, Expr, ParamMode, SignalId, System, Ty, Value};
+use ifsyn_spec::{BitVec, Expr, SignalId, System, Value};
 
 use crate::config::SimConfig;
-use crate::diagnose::{find_cycles, BlockedWait, DeadlockDiagnosis};
+use crate::diagnose::{diagnose, DeadlockDiagnosis, Parked};
 use crate::error::SimError;
 use crate::eval::{coerce, EvalCtx};
-use crate::exec::{self, CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, RegFile};
+use crate::exec::{self, ExprCode, RegFile};
 use crate::fault::{FaultKind, InjectedFault};
-use crate::process::{CodeRef, Frame, Process, ResolvedPlace, Root, Status, Step, WaitKind};
-use crate::program::{Code, CodeCache, Instr, Program, WaitSpec};
+use crate::interp::{self, Machine, Parts, Tables};
+use crate::process::{Process, Status, WaitKind};
+use crate::program::{CodeCache, Program, WaitSpec};
 use crate::report::{BehaviorOutcome, SimReport, TraceEvent};
 use crate::shard::{self, Job, JobResult, Outcome, ParallelStats, Staged};
 
@@ -87,7 +88,7 @@ struct Replay {
 /// plan, the worker channels, the shared signal snapshot and reusable
 /// scratch. Lives on `run_events_parallel`'s stack inside the worker
 /// thread scope, never in the `Simulator` itself.
-struct ParEngine<'e> {
+struct ParEngine {
     plan: ShardPlan,
     /// Variable indices owned by each shard.
     shard_vars: Vec<Vec<usize>>,
@@ -99,8 +100,6 @@ struct ParEngine<'e> {
     /// place (`Arc::make_mut` plus the master's dirty list) each round,
     /// because the workers drop their handles at the barrier.
     snapshot: Arc<Vec<Value>>,
-    behavior_code: &'e [Arc<Code>],
-    procedure_code: &'e [Arc<Code>],
     max_steps: u64,
     /// Register file for the job the main thread runs inline.
     inline_regs: RegFile,
@@ -185,20 +184,21 @@ fn eval_split<'s>(
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'a> {
+    /// The compiled code, borrowed by the interpreter apart from the
+    /// mutable `Kernel` state. Its blocks sit behind `Arc`s so a
+    /// [`CodeCache`] can share identical blocks between simulator
+    /// instances (and `Arc`, not `Rc`, keeps the simulator `Send` for
+    /// the parallel sweep driver).
+    program: Program,
+    kernel: Kernel<'a>,
+}
+
+/// The mutable state of one simulation: storage, processes and the
+/// event scheduler.
+#[derive(Debug)]
+struct Kernel<'a> {
     system: &'a System,
     config: SimConfig,
-    /// Shared handles to each compiled code block. `Arc` (not `Rc`) keeps
-    /// the simulator `Send` for the parallel sweep driver, and lets a
-    /// [`CodeCache`] share identical blocks between simulator instances.
-    ///
-    /// Each slot is an `Option` so the interpreter can *move* the running
-    /// block out (`take_block`) and hold it across `&mut self` calls,
-    /// then move it back at the next block switch or suspension — no
-    /// per-activation reference-count traffic. A slot is only ever `None`
-    /// while its block is executing (or after a terminal error, when the
-    /// simulator is dropped without further use).
-    behavior_code: Vec<Option<Arc<Code>>>,
-    procedure_code: Vec<Option<Arc<Code>>>,
     /// The reusable micro-op register file, pre-sized at compile time to
     /// the widest expression in the program.
     regs: RegFile,
@@ -314,8 +314,6 @@ impl<'a> Simulator<'a> {
             .map(|c| c.max_regs)
             .max()
             .unwrap_or(0);
-        let behavior_code = program.behaviors.into_iter().map(Some).collect();
-        let procedure_code = program.procedures.into_iter().map(Some).collect();
         let signals = system
             .signals
             .iter()
@@ -359,11 +357,9 @@ impl<'a> Simulator<'a> {
             });
         }
         let has_faults = !faults.is_empty();
-        Ok(Self {
+        let kernel = Kernel {
             system,
             config,
-            behavior_code,
-            procedure_code,
             regs: RegFile::with_capacity(max_regs as usize),
             time: 0,
             signals,
@@ -395,7 +391,8 @@ impl<'a> Simulator<'a> {
             assertions_checked: 0,
             heap_peak: 0,
             time_steps: 0,
-        })
+        };
+        Ok(Self { program, kernel })
     }
 
     /// Runs until no further event can occur, then reports.
@@ -425,19 +422,24 @@ impl<'a> Simulator<'a> {
     ///
     /// Same failure modes as [`Simulator::run_to_quiescence`].
     pub fn run_to_quiescence_with_stats(mut self) -> Result<(SimReport, ParallelStats), SimError> {
-        let stats = self.run_all(None)?;
-        if self.config.fail_on_deadlock {
-            let stuck = self.processes.iter().any(|p| {
-                matches!(p.status, Status::Waiting(_)) && !self.system.behaviors[p.behavior].repeats
+        let t = Tables {
+            system: self.kernel.system,
+            program: &self.program,
+        };
+        let k = &mut self.kernel;
+        let stats = k.run_all(t, None)?;
+        if k.config.fail_on_deadlock {
+            let stuck = k.processes.iter().any(|p| {
+                matches!(p.status, Status::Waiting(_)) && !k.system.behaviors[p.behavior].repeats
             });
             if stuck {
-                let diagnosis = self.diagnosis().expect("a blocked process exists");
+                let diagnosis = k.diagnosis(t).expect("a blocked process exists");
                 return Err(SimError::Deadlock {
                     diagnosis: Box::new(diagnosis),
                 });
             }
         }
-        Ok((self.into_report(), stats))
+        Ok((self.kernel.into_report(), stats))
     }
 
     /// Runs until time `deadline` (inclusive) or quiescence, whichever
@@ -465,34 +467,40 @@ impl<'a> Simulator<'a> {
         mut self,
         deadline: u64,
     ) -> Result<(SimReport, ParallelStats), SimError> {
-        let stats = self.run_all(Some(deadline))?;
-        Ok((self.into_report(), stats))
+        let t = Tables {
+            system: self.kernel.system,
+            program: &self.program,
+        };
+        let stats = self.kernel.run_all(t, Some(deadline))?;
+        Ok((self.kernel.into_report(), stats))
     }
+}
 
+impl<'a> Kernel<'a> {
     /// Dispatches to the scalar or parallel event loop according to
     /// [`SimConfig::sim_threads`] and the shard plan.
-    fn run_all(&mut self, deadline: Option<u64>) -> Result<ParallelStats, SimError> {
+    fn run_all(&mut self, t: Tables<'_>, deadline: Option<u64>) -> Result<ParallelStats, SimError> {
         let threads = self.config.sim_threads.max(1);
         if threads <= 1 {
-            self.run_events(deadline)?;
+            self.run_events(t, deadline)?;
             return Ok(ParallelStats::scalar(threads, 1.min(self.processes.len())));
         }
         let plan = plan_shards(self.system, threads);
         if plan.shards <= 1 {
             // One atomic group: the partitioner proved a fork can never
             // have two shards to feed, so skip the pool entirely.
-            self.run_events(deadline)?;
+            self.run_events(t, deadline)?;
             return Ok(ParallelStats::scalar(threads, plan.shards));
         }
-        self.run_events_parallel(deadline, plan, threads)
+        self.run_events_parallel(t, deadline, plan, threads)
     }
 
     /// The main event loop; stops at quiescence, or past `deadline`.
-    fn run_events(&mut self, deadline: Option<u64>) -> Result<(), SimError> {
+    fn run_events(&mut self, t: Tables<'_>, deadline: Option<u64>) -> Result<(), SimError> {
         self.run_deadline = deadline;
         loop {
-            self.settle_instant()?;
-            if !self.advance_time(deadline)? {
+            self.settle_instant(t)?;
+            if !self.advance_time(t, deadline)? {
                 return Ok(());
             }
         }
@@ -500,7 +508,7 @@ impl<'a> Simulator<'a> {
 
     /// Advances to the next scheduled instant and moves its events into
     /// `pending`/`ready`. Returns `false` at quiescence or the deadline.
-    fn advance_time(&mut self, deadline: Option<u64>) -> Result<bool, SimError> {
+    fn advance_time(&mut self, t: Tables<'_>, deadline: Option<u64>) -> Result<bool, SimError> {
         let next_write = self.timed_writes.peek().map(|Reverse(w)| w.time);
         let next_sleep = self.sleepers.peek().map(|&Reverse((t, _, _))| t);
         // Stale watchdog entries must be pruned *before* choosing the
@@ -522,7 +530,7 @@ impl<'a> Simulator<'a> {
         if next > self.config.max_time {
             return Err(SimError::Timeout {
                 max_time: self.config.max_time,
-                diagnosis: self.diagnosis().map(Box::new),
+                diagnosis: self.diagnosis(t).map(Box::new),
             });
         }
         self.time = next;
@@ -645,7 +653,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Executes all delta cycles of the current time instant.
-    fn settle_instant(&mut self) -> Result<(), SimError> {
+    fn settle_instant(&mut self, t: Tables<'_>) -> Result<(), SimError> {
         let mut deltas = 0u32;
         loop {
             if !self.pending.is_empty() {
@@ -665,7 +673,7 @@ impl<'a> Simulator<'a> {
             }
             while let Some(pid) = self.ready.pop_front() {
                 if matches!(self.processes[pid].status, Status::Ready) {
-                    self.run_process(pid)?;
+                    self.run_process(t, pid)?;
                 }
             }
         }
@@ -677,6 +685,7 @@ impl<'a> Simulator<'a> {
     /// `threads` busy threads as [`SimConfig::sim_threads`] promises.
     fn run_events_parallel(
         &mut self,
+        t: Tables<'_>,
         deadline: Option<u64>,
         plan: ShardPlan,
         threads: usize,
@@ -688,25 +697,14 @@ impl<'a> Simulator<'a> {
                 shard_vars[s].push(v);
             }
         }
-        // The workers get their own code handles: the slots in `self`
-        // keep the take/put discipline for the inline scalar rounds.
-        let behavior_code: Vec<Arc<Code>> = self
-            .behavior_code
+        let max_regs = t
+            .program
+            .behaviors
             .iter()
-            .map(|c| Arc::clone(c.as_ref().expect("no block executing between rounds")))
-            .collect();
-        let procedure_code: Vec<Arc<Code>> = self
-            .procedure_code
-            .iter()
-            .map(|c| Arc::clone(c.as_ref().expect("no block executing between rounds")))
-            .collect();
-        let max_regs = behavior_code
-            .iter()
-            .chain(&procedure_code)
+            .chain(&t.program.procedures)
             .map(|c| c.max_regs)
             .max()
             .unwrap_or(0) as usize;
-        let system = self.system;
         let max_steps = self.config.max_steps_per_activation;
         let n_vars = self.vars.len();
         self.snap_dirty.clear();
@@ -719,12 +717,10 @@ impl<'a> Simulator<'a> {
                 let (tx, rx) = mpsc::channel::<Job>();
                 job_txs.push(Some(tx));
                 let res_tx = res_tx.clone();
-                let bc = behavior_code.clone();
-                let prc = procedure_code.clone();
                 scope.spawn(move || {
                     let mut regs = RegFile::with_capacity(max_regs);
                     while let Ok(job) = rx.recv() {
-                        let out = shard::run_job(system, &bc, &prc, max_steps, &mut regs, job);
+                        let out = shard::run_job(t, max_steps, &mut regs, job);
                         if res_tx.send(out).is_err() {
                             break;
                         }
@@ -739,8 +735,6 @@ impl<'a> Simulator<'a> {
                     .map(|_| Some(vec![Value::Bit(false); n_vars]))
                     .collect(),
                 snapshot: Arc::new(self.signals.clone()),
-                behavior_code: &behavior_code,
-                procedure_code: &procedure_code,
                 max_steps,
                 inline_regs: RegFile::with_capacity(max_regs),
                 job_txs,
@@ -752,7 +746,7 @@ impl<'a> Simulator<'a> {
                 ordered: Vec::new(),
                 stats: ParallelStats::scalar(threads, shards),
             };
-            self.run_events_par(deadline, &mut eng)?;
+            self.run_events_par(t, deadline, &mut eng)?;
             Ok(eng.stats)
             // `eng` (and with it every job sender) drops here, so the
             // workers' `recv` fails and the scope joins them — on the
@@ -766,13 +760,14 @@ impl<'a> Simulator<'a> {
     /// The parallel twin of [`Simulator::run_events`].
     fn run_events_par(
         &mut self,
+        t: Tables<'_>,
         deadline: Option<u64>,
-        eng: &mut ParEngine<'_>,
+        eng: &mut ParEngine,
     ) -> Result<(), SimError> {
         self.run_deadline = deadline;
         loop {
-            self.settle_instant_par(eng)?;
-            if !self.advance_time(deadline)? {
+            self.settle_instant_par(t, eng)?;
+            if !self.advance_time(t, deadline)? {
                 return Ok(());
             }
         }
@@ -783,7 +778,7 @@ impl<'a> Simulator<'a> {
     /// multiple shards forks across the pool; anything else (one
     /// runnable process, or all on one shard) runs the unmodified scalar
     /// path, keeping the fast-forward time jumps.
-    fn settle_instant_par(&mut self, eng: &mut ParEngine<'_>) -> Result<(), SimError> {
+    fn settle_instant_par(&mut self, t: Tables<'_>, eng: &mut ParEngine) -> Result<(), SimError> {
         let mut deltas = 0u32;
         loop {
             if !self.pending.is_empty() {
@@ -825,11 +820,11 @@ impl<'a> Simulator<'a> {
                     }
                     while let Some(pid) = self.ready.pop_front() {
                         if matches!(self.processes[pid].status, Status::Ready) {
-                            self.run_process(pid)?;
+                            self.run_process(t, pid)?;
                         }
                     }
                 } else {
-                    self.run_round_parallel(eng)?;
+                    self.run_round_parallel(t, eng)?;
                 }
             }
         }
@@ -839,7 +834,7 @@ impl<'a> Simulator<'a> {
     /// shards, run one shard inline, then replay every staged effect in
     /// scalar pop order at the barrier (see `shard.rs` for why the
     /// replay reconstructs the scalar execution exactly).
-    fn run_round_parallel(&mut self, eng: &mut ParEngine<'_>) -> Result<(), SimError> {
+    fn run_round_parallel(&mut self, t: Tables<'_>, eng: &mut ParEngine) -> Result<(), SimError> {
         // Capture the round in scalar pop order.
         eng.round.clear();
         while let Some(pid) = self.ready.pop_front() {
@@ -923,14 +918,7 @@ impl<'a> Simulator<'a> {
         eng.ordered.clear();
         eng.ordered.resize_with(eng.round.len(), || None);
         let inline_job = inline_job.expect("a multi-shard round has at least two active shards");
-        let inline_res = shard::run_job(
-            self.system,
-            eng.behavior_code,
-            eng.procedure_code,
-            eng.max_steps,
-            &mut eng.inline_regs,
-            inline_job,
-        );
+        let inline_res = shard::run_job(t, eng.max_steps, &mut eng.inline_regs, inline_job);
         self.integrate_result(eng, inline_res);
         for _ in 0..dispatched {
             let res = eng
@@ -962,7 +950,7 @@ impl<'a> Simulator<'a> {
                     }
                     Staged::Sleep { wake } => {
                         if i == last && self.try_fast_advance(wake)? {
-                            self.run_process(pid)?;
+                            self.run_process(t, pid)?;
                         } else {
                             self.sleep_until(pid, wake);
                         }
@@ -974,7 +962,7 @@ impl<'a> Simulator<'a> {
                     } => {
                         if i == last {
                             match self.try_fast_advance_write(wake, signal, value)? {
-                                None => self.run_process(pid)?,
+                                None => self.run_process(t, pid)?,
                                 Some(v) => {
                                     self.schedule_write(wake, signal, v, false);
                                     self.sleep_until(pid, wake);
@@ -1023,7 +1011,7 @@ impl<'a> Simulator<'a> {
     /// Integrates one shard's result at the barrier: variables swap back
     /// (master copy authoritative again), processes move home, outcomes
     /// line up in scalar pop order for the replay.
-    fn integrate_result(&mut self, eng: &mut ParEngine<'_>, res: JobResult) {
+    fn integrate_result(&mut self, eng: &mut ParEngine, res: JobResult) {
         let JobResult {
             shard,
             mut vars,
@@ -1255,306 +1243,7 @@ impl<'a> Simulator<'a> {
         self.event_seq += 1;
     }
 
-    /// Evaluates compiled code in a process's current scope, cloning the
-    /// result out of wherever it lives (register, pool, storage).
-    fn eval_in(&mut self, pid: usize, code: &ExprCode) -> Result<Value, SimError> {
-        Ok(eval_split(
-            &self.vars,
-            &self.signals,
-            &self.processes,
-            &mut self.regs,
-            pid,
-            code,
-        )?
-        .clone())
-    }
-
-    /// Evaluates compiled code to a boolean without materializing an
-    /// owned value — the wake/branch/assert hot path.
-    fn eval_bool_in(&mut self, pid: usize, code: &ExprCode) -> Result<bool, SimError> {
-        eval_split(
-            &self.vars,
-            &self.signals,
-            &self.processes,
-            &mut self.regs,
-            pid,
-            code,
-        )?
-        .as_bool()
-        .map_err(|e| SimError::eval(e.to_string()))
-    }
-
-    /// Evaluates compiled code to an integer without materializing an
-    /// owned value (loop bounds, addresses, slice offsets).
-    fn eval_i64_in(&mut self, pid: usize, code: &ExprCode) -> Result<i64, SimError> {
-        eval_split(
-            &self.vars,
-            &self.signals,
-            &self.processes,
-            &mut self.regs,
-            pid,
-            code,
-        )?
-        .as_i64()
-        .map_err(|e| SimError::eval(e.to_string()))
-    }
-
-    /// Resolves a compiled path to concrete storage steps; index and
-    /// offset code evaluates in the process's current (top) frame.
-    fn resolve_cpath(
-        &mut self,
-        pid: usize,
-        path: &CPath,
-        frame_abs: usize,
-    ) -> Result<ResolvedPlace, SimError> {
-        let root = match path.root {
-            CRoot::Var(i) => Root::Var(i as usize),
-            CRoot::Local(s) => Root::Local {
-                frame: frame_abs,
-                slot: s as usize,
-            },
-        };
-        let mut steps = Vec::with_capacity(path.steps.len());
-        for st in path.steps.iter() {
-            match st {
-                CPathStep::Elem(code) => {
-                    let i = self.eval_i64_in(pid, code)?;
-                    let i = usize::try_from(i)
-                        .map_err(|_| SimError::eval(format!("negative array index {i}")))?;
-                    steps.push(Step::Elem(i));
-                }
-                CPathStep::Slice(hi, lo) => steps.push(Step::Slice(*hi, *lo)),
-                CPathStep::DynSlice(code, width) => {
-                    // The offset evaluates once at resolution time, turning
-                    // the dynamic slice into a concrete one.
-                    let lo = self.eval_i64_in(pid, code)?;
-                    let lo = u32::try_from(lo)
-                        .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
-                    steps.push(Step::Slice(lo + width - 1, lo));
-                }
-            }
-        }
-        Ok(ResolvedPlace { root, steps })
-    }
-
-    /// Resolves a compiled place for copy-back, returning the concrete
-    /// destination and its type (captured at call time, VHDL-style).
-    fn resolve_cplace(
-        &mut self,
-        pid: usize,
-        place: &CPlace,
-        frame_abs: usize,
-    ) -> Result<(ResolvedPlace, Ty), SimError> {
-        let system: &'a System = self.system;
-        match place {
-            CPlace::Var(i) => {
-                let decl = system
-                    .variables
-                    .get(*i as usize)
-                    .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?;
-                Ok((
-                    ResolvedPlace {
-                        root: Root::Var(*i as usize),
-                        steps: Vec::new(),
-                    },
-                    decl.ty.clone(),
-                ))
-            }
-            CPlace::Local(slot) => {
-                let slot = *slot as usize;
-                let ty = self.local_ty(pid, frame_abs, slot)?;
-                Ok((
-                    ResolvedPlace {
-                        root: Root::Local {
-                            frame: frame_abs,
-                            slot,
-                        },
-                        steps: Vec::new(),
-                    },
-                    ty,
-                ))
-            }
-            CPlace::Path(path) => {
-                let ty = path
-                    .ty
-                    .clone()
-                    .ok_or_else(|| untyped_place_error(&path.root))?;
-                let rp = self.resolve_cpath(pid, path, frame_abs)?;
-                Ok((rp, ty))
-            }
-        }
-    }
-
-    /// The declared type of a frame's local slot.
-    fn local_ty(&self, pid: usize, frame_abs: usize, slot: usize) -> Result<Ty, SimError> {
-        match self.processes[pid].frames[frame_abs].code {
-            CodeRef::Procedure(p) => {
-                let proc = &self.system.procedures[p];
-                if slot < proc.slot_count() {
-                    Ok(proc.slot_ty(slot).clone())
-                } else {
-                    Err(SimError::eval(format!("missing local slot {slot}")))
-                }
-            }
-            CodeRef::Behavior(_) => Err(SimError::eval(
-                "local slot referenced outside a procedure".to_string(),
-            )),
-        }
-    }
-
-    /// Reads a compiled place's current value.
-    fn read_cplace(&mut self, pid: usize, place: &CPlace) -> Result<Value, SimError> {
-        match place {
-            CPlace::Var(i) => self
-                .vars
-                .get(*i as usize)
-                .cloned()
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}"))),
-            CPlace::Local(slot) => {
-                let frame = self.processes[pid]
-                    .frames
-                    .last()
-                    .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-                frame
-                    .locals
-                    .get(*slot as usize)
-                    .cloned()
-                    .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))
-            }
-            CPlace::Path(path) => {
-                let frame_abs = self.processes[pid].frames.len() - 1;
-                let rp = self.resolve_cpath(pid, path, frame_abs)?;
-                self.read_resolved(pid, &rp)
-            }
-        }
-    }
-
-    /// Reads the value at a resolved path.
-    fn read_resolved(&self, pid: usize, rp: &ResolvedPlace) -> Result<Value, SimError> {
-        let mut cur: &Value = match rp.root {
-            Root::Var(i) => self
-                .vars
-                .get(i)
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?,
-            Root::Local { frame, slot } => self.processes[pid]
-                .frames
-                .get(frame)
-                .and_then(|f| f.locals.get(slot))
-                .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))?,
-        };
-        for (i, step) in rp.steps.iter().enumerate() {
-            match step {
-                Step::Elem(idx) => match cur {
-                    Value::Array(items) => {
-                        cur = items.get(*idx).ok_or_else(|| {
-                            SimError::eval(format!("array index {idx} out of range"))
-                        })?;
-                    }
-                    other => {
-                        return Err(SimError::eval(format!("indexing non-array value {other}")))
-                    }
-                },
-                Step::Slice(hi, lo) => {
-                    if i + 1 != rp.steps.len() {
-                        return Err(SimError::eval(
-                            "slice must be the last projection of a write target".to_string(),
-                        ));
-                    }
-                    let bits = cur.to_bits();
-                    if *hi >= bits.width() {
-                        return Err(SimError::eval(format!(
-                            "slice {hi} downto {lo} out of range for width {}",
-                            bits.width()
-                        )));
-                    }
-                    return Ok(Value::Bits(bits.slice(*hi, *lo)));
-                }
-            }
-        }
-        Ok(cur.clone())
-    }
-
-    fn write_resolved(
-        &mut self,
-        pid: usize,
-        rp: &ResolvedPlace,
-        value: Value,
-    ) -> Result<(), SimError> {
-        let root: &mut Value = match rp.root {
-            Root::Var(i) => self
-                .vars
-                .get_mut(i)
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?,
-            Root::Local { frame, slot } => self.processes[pid]
-                .frames
-                .get_mut(frame)
-                .and_then(|f| f.locals.get_mut(slot))
-                .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))?,
-        };
-        write_steps(root, &rp.steps, value)
-    }
-
-    /// Writes `value` (coerced to the target's type) into a place.
-    fn write_cplace(&mut self, pid: usize, place: &CPlace, value: Value) -> Result<(), SimError> {
-        // Whole-variable and whole-local writes (the overwhelmingly common
-        // case) skip place resolution entirely.
-        let system: &'a System = self.system;
-        match place {
-            CPlace::Var(i) => {
-                let decl = system
-                    .variables
-                    .get(*i as usize)
-                    .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?;
-                self.vars[*i as usize] = coerce(value, &decl.ty);
-                Ok(())
-            }
-            CPlace::Local(slot) => {
-                let slot = *slot as usize;
-                let frame_abs = self.processes[pid].frames.len() - 1;
-                let ty = self.local_ty(pid, frame_abs, slot)?;
-                let v = coerce(value, &ty);
-                self.processes[pid].frames[frame_abs].locals[slot] = v;
-                Ok(())
-            }
-            CPlace::Path(path) => {
-                let ty = path
-                    .ty
-                    .clone()
-                    .ok_or_else(|| untyped_place_error(&path.root))?;
-                let frame_abs = self.processes[pid].frames.len() - 1;
-                let rp = self.resolve_cpath(pid, path, frame_abs)?;
-                self.write_resolved(pid, &rp, coerce(value, &ty))
-            }
-        }
-    }
-
-    /// Moves a code block out of its slot for execution. No reference
-    /// count is touched; the block must be returned with [`Self::put_block`]
-    /// before anything else can execute or inspect it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is already taken (cannot happen from the
-    /// interpreter, which always puts the running block back before
-    /// taking another).
-    fn take_block(&mut self, code: CodeRef) -> Arc<Code> {
-        let slot = match code {
-            CodeRef::Behavior(i) => &mut self.behavior_code[i],
-            CodeRef::Procedure(i) => &mut self.procedure_code[i],
-        };
-        slot.take().expect("code block already taken")
-    }
-
-    /// Returns a block taken with [`Self::take_block`] to its slot.
-    fn put_block(&mut self, code: CodeRef, block: Arc<Code>) {
-        let slot = match code {
-            CodeRef::Behavior(i) => &mut self.behavior_code[i],
-            CodeRef::Procedure(i) => &mut self.procedure_code[i],
-        };
-        *slot = Some(block);
-    }
-
-    /// Writes the cached program counter back into the process's top
+    /// Attempts to jump simulated time    /// Writes the cached program counter back into the process's top
     /// frame (done only at suspension points, not per instruction).
     /// Attempts to jump simulated time straight to `wake` without
     /// suspending the running process.
@@ -1627,573 +1316,28 @@ impl<'a> Simulator<'a> {
         Ok(None)
     }
 
-    fn store_pc(&mut self, pid: usize, pc: usize) {
-        self.processes[pid].frames.last_mut().expect("frame").pc = pc;
-    }
-
     /// Runs one process until it blocks, sleeps or finishes, then flushes
     /// the executed-instruction counters in one add each.
-    fn run_process(&mut self, pid: usize) -> Result<(), SimError> {
+    fn run_process(&mut self, t: Tables<'_>, pid: usize) -> Result<(), SimError> {
         let mut steps = 0u64;
-        let result = self.run_steps(pid, &mut steps);
+        let result = interp::run_until_suspend(t, &mut Running { k: self, pid }, &mut steps);
         self.total_instrs += steps;
         self.processes[pid].instrs_executed += steps;
         result
     }
 
-    /// The interpreter loop. The program counter and current code block
-    /// are locals — the frame's `pc` is only written back at suspension
-    /// points, keeping the per-instruction overhead at an index increment.
-    fn run_steps(&mut self, pid: usize, steps: &mut u64) -> Result<(), SimError> {
-        let (mut code_ref, mut pc) = {
-            let frame = self.processes[pid]
-                .frames
-                .last()
-                .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-            (frame.code, frame.pc)
-        };
-        let mut block = self.take_block(code_ref);
-        // Zero-delay-loop budget: counts steps at the current instant and
-        // resets whenever the fast path advances time, so long runs that
-        // legitimately consume simulated time are never misdiagnosed.
-        let mut instant_steps = 0u64;
-        loop {
-            *steps += 1;
-            instant_steps += 1;
-            if instant_steps > self.config.max_steps_per_activation {
-                return Err(SimError::ZeroDelayLoop {
-                    behavior: self.system.behaviors[self.processes[pid].behavior]
-                        .name
-                        .clone(),
-                    time: self.time,
-                });
-            }
-            // Borrowing out of the local `block` (not `self`) lets the
-            // instruction reference live across `&mut self` calls.
-            let instr = &block.instrs[pc];
-            match instr {
-                Instr::Assign { place, value, cost } => {
-                    // Constant sources skip the evaluation context — no
-                    // frame lookup, no register file.
-                    let v = match value.const_value() {
-                        Some(c) => c.clone(),
-                        None => self.eval_in(pid, value)?,
-                    };
-                    self.write_cplace(pid, place, v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-                Instr::SignalWrite {
-                    signal,
-                    value,
-                    cost,
-                } => {
-                    // Constants were pre-coerced to the signal's type at
-                    // compile time, so the pool value drives verbatim.
-                    let v = match value.const_value() {
-                        Some(c) => c.clone(),
-                        None => {
-                            let raw = self.eval_in(pid, value)?;
-                            // `self.system` is a shared reference; copying
-                            // it out lets the type borrow coexist with
-                            // `&mut self`.
-                            let system: &'a System = self.system;
-                            coerce(raw, &system.signal(*signal).ty)
-                        }
-                    };
-                    pc += 1;
-                    if *cost == 0 {
-                        self.pending.push((signal.index(), v, false));
-                    } else {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        match self.try_fast_advance_write(wake, signal.index(), v)? {
-                            None => instant_steps = 0,
-                            Some(v) => {
-                                self.schedule_write(wake, signal.index(), v, false);
-                                self.store_pc(pid, pc);
-                                self.sleep_until(pid, wake);
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Instr::Jump(t) => pc = *t,
-                Instr::JumpIfNot { cond, target } => {
-                    if self.eval_bool_in(pid, cond)? {
-                        pc += 1;
-                    } else {
-                        pc = *target;
-                    }
-                }
-                Instr::LoopInit { var, from, to } => {
-                    let bound = self.eval_i64_in(pid, to)?;
-                    let start = self.eval_in(pid, from)?;
-                    self.write_cplace(pid, var, start)?;
-                    self.processes[pid]
-                        .frames
-                        .last_mut()
-                        .expect("frame")
-                        .loop_bounds
-                        .push(bound);
-                    pc += 1;
-                }
-                Instr::LoopTest { var, exit } => {
-                    // Loop counters are whole int variables or locals in
-                    // practice; read them without an evaluation context.
-                    let fast = match var {
-                        CPlace::Var(v) => match self.vars.get(*v as usize) {
-                            Some(Value::Int { value, .. }) => Some(*value),
-                            _ => None,
-                        },
-                        CPlace::Local(slot) => {
-                            let frame = self.processes[pid].frames.last().expect("frame");
-                            match frame.locals.get(*slot as usize) {
-                                Some(Value::Int { value, .. }) => Some(*value),
-                                _ => None,
-                            }
-                        }
-                        CPlace::Path(_) => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => self
-                            .read_cplace(pid, var)?
-                            .as_i64()
-                            .map_err(|e| SimError::eval(e.to_string()))?,
-                    };
-                    let frame = self.processes[pid].frames.last_mut().expect("frame");
-                    let bound = *frame
-                        .loop_bounds
-                        .last()
-                        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
-                    if v > bound {
-                        frame.loop_bounds.pop();
-                        pc = *exit;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                Instr::LoopIncr { var, body, exit } => {
-                    // Fused back-edge: in-place increment for whole int
-                    // counters (stored values are unmasked, so this matches
-                    // rebuild+write), then test the bound and branch — one
-                    // dispatch instead of increment + jump + guard.
-                    let fast = match var {
-                        CPlace::Var(v) => match self.vars.get_mut(*v as usize) {
-                            Some(Value::Int { value, width }) if *width > 0 => {
-                                *value += 1;
-                                Some(*value)
-                            }
-                            _ => None,
-                        },
-                        CPlace::Local(slot) => {
-                            let frame = self.processes[pid].frames.last_mut().expect("frame");
-                            match frame.locals.get_mut(*slot as usize) {
-                                Some(Value::Int { value, width }) if *width > 0 => {
-                                    *value += 1;
-                                    Some(*value)
-                                }
-                                _ => None,
-                            }
-                        }
-                        CPlace::Path(_) => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => {
-                            let (v, width) = {
-                                let cur = self.read_cplace(pid, var)?;
-                                let v = cur.as_i64().map_err(|e| SimError::eval(e.to_string()))?;
-                                let width = match &cur {
-                                    Value::Int { width, .. } => *width,
-                                    other => other.ty().bit_width(),
-                                };
-                                (v, width)
-                            };
-                            self.write_cplace(pid, var, Value::int(v + 1, width.max(1)))?;
-                            v + 1
-                        }
-                    };
-                    let frame = self.processes[pid].frames.last_mut().expect("frame");
-                    let bound = *frame
-                        .loop_bounds
-                        .last()
-                        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
-                    if v > bound {
-                        frame.loop_bounds.pop();
-                        pc = *exit;
-                    } else {
-                        pc = *body;
-                    }
-                }
-                Instr::Wait(cond) => {
-                    pc += 1;
-                    match cond {
-                        WaitSpec::ForCycles(n) => {
-                            if *n > 0 {
-                                let wake = self.time + n;
-                                if self.try_fast_advance(wake)? {
-                                    instant_steps = 0;
-                                } else {
-                                    self.store_pc(pid, pc);
-                                    self.sleep_until(pid, wake);
-                                    self.put_block(code_ref, block);
-                                    return Ok(());
-                                }
-                            }
-                        }
-                        WaitSpec::OnSignals(signals) => {
-                            self.store_pc(pid, pc);
-                            self.register_wait(pid, WaitKind::Signals, signals);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                        WaitSpec::Until(cond) => {
-                            let sat = self.eval_bool_in(pid, &cond.code)?;
-                            if !sat {
-                                self.store_pc(pid, pc);
-                                self.register_wait(
-                                    pid,
-                                    WaitKind::Until(Arc::clone(cond)),
-                                    &cond.sensitivity,
-                                );
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilSignalIs { signal, value } => {
-                            if self.signals[signal.index()] != *value {
-                                self.store_pc(pid, pc);
-                                self.register_wait_one(
-                                    pid,
-                                    WaitKind::SignalIs(signal.index(), value.clone()),
-                                    signal.index(),
-                                );
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilTimeout { cond, cycles } => {
-                            let sat = self.eval_bool_in(pid, &cond.code)?;
-                            if !sat {
-                                let deadline = self.time + cycles;
-                                self.store_pc(pid, pc);
-                                self.register_wait(
-                                    pid,
-                                    WaitKind::Until(Arc::clone(cond)),
-                                    &cond.sensitivity,
-                                );
-                                self.arm_watchdog(pid, deadline);
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilSignalIsTimeout {
-                            signal,
-                            value,
-                            cycles,
-                        } => {
-                            if self.signals[signal.index()] != *value {
-                                let deadline = self.time + cycles;
-                                self.store_pc(pid, pc);
-                                self.register_wait_one(
-                                    pid,
-                                    WaitKind::SignalIs(signal.index(), value.clone()),
-                                    signal.index(),
-                                );
-                                self.arm_watchdog(pid, deadline);
-                                self.put_block(code_ref, block);
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Instr::Call { procedure, args } => {
-                    let procedure = *procedure;
-                    // The return address is stored before the callee frame
-                    // is pushed; argument evaluation still sees the caller
-                    // frame on top.
-                    self.store_pc(pid, pc + 1);
-                    self.enter_procedure(pid, procedure, args)?;
-                    // Put-then-take keeps the slot discipline sound even
-                    // for a direct self-call.
-                    self.put_block(code_ref, block);
-                    code_ref = CodeRef::Procedure(procedure);
-                    block = self.take_block(code_ref);
-                    pc = 0;
-                }
-                Instr::Ret => {
-                    if self.leave_frame(pid)? {
-                        self.put_block(code_ref, block);
-                        return Ok(());
-                    }
-                    let (new_code, new_pc) = {
-                        let frame = self.processes[pid].frames.last().expect("frame");
-                        (frame.code, frame.pc)
-                    };
-                    if new_code != code_ref {
-                        self.put_block(code_ref, block);
-                        block = self.take_block(new_code);
-                        code_ref = new_code;
-                    }
-                    pc = new_pc;
-                }
-                Instr::ChannelSend {
-                    channel,
-                    addr,
-                    data,
-                    cost,
-                } => {
-                    let data_v = self.eval_in(pid, data)?;
-                    let addr_v = match addr {
-                        Some(a) => Some(self.eval_i64_in(pid, a)?),
-                        None => None,
-                    };
-                    self.channel_write(*channel, addr_v, data_v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-                Instr::ChannelReceive {
-                    channel,
-                    addr,
-                    target,
-                    cost,
-                } => {
-                    let addr_v = match addr {
-                        Some(a) => Some(self.eval_i64_in(pid, a)?),
-                        None => None,
-                    };
-                    let v = self.channel_read(*channel, addr_v)?;
-                    self.write_cplace(pid, target, v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        self.processes[pid].active_cycles += u64::from(*cost);
-                        let wake = self.time + u64::from(*cost);
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-                Instr::Assert { cond, note } => {
-                    let ok = self.eval_bool_in(pid, cond)?;
-                    if !ok {
-                        return Err(SimError::AssertionFailed {
-                            behavior: self.system.behaviors[self.processes[pid].behavior]
-                                .name
-                                .clone(),
-                            note: note.clone(),
-                            time: self.time,
-                        });
-                    }
-                    self.assertions_checked += 1;
-                    pc += 1;
-                }
-                Instr::Consume { cycles } => {
-                    pc += 1;
-                    if *cycles > 0 {
-                        self.processes[pid].active_cycles += *cycles;
-                        let wake = self.time + *cycles;
-                        if self.try_fast_advance(wake)? {
-                            instant_steps = 0;
-                        } else {
-                            self.store_pc(pid, pc);
-                            self.sleep_until(pid, wake);
-                            self.put_block(code_ref, block);
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn enter_procedure(
-        &mut self,
-        pid: usize,
-        procedure: usize,
-        args: &[CArg],
-    ) -> Result<(), SimError> {
-        let system: &'a System = self.system;
-        let proc = &system.procedures[procedure];
-        let caller_frame_abs = self.processes[pid].frames.len() - 1;
-        let mut locals = Vec::with_capacity(proc.slot_count());
-        let mut copyback = Vec::new();
-        for (i, (arg, param)) in args.iter().zip(&proc.params).enumerate() {
-            match (arg, param.mode) {
-                (CArg::In(e), ParamMode::In) => {
-                    locals.push(coerce(self.eval_in(pid, e)?, &param.ty));
-                }
-                (CArg::Out(place), ParamMode::Out) => {
-                    locals.push(Value::default_of(&param.ty));
-                    copyback.push({
-                        let (rp, ty) = self.resolve_cplace(pid, place, caller_frame_abs)?;
-                        (i, rp, ty)
-                    });
-                }
-                (CArg::InOut(place), ParamMode::InOut) => {
-                    locals.push(coerce(self.read_cplace(pid, place)?, &param.ty));
-                    copyback.push({
-                        let (rp, ty) = self.resolve_cplace(pid, place, caller_frame_abs)?;
-                        (i, rp, ty)
-                    });
-                }
-                _ => {
-                    return Err(SimError::eval(format!(
-                        "argument mode mismatch calling `{}`",
-                        proc.name
-                    )))
-                }
-            }
-        }
-        for l in &proc.locals {
-            locals.push(Value::default_of(&l.ty));
-        }
-        let mut frame = Frame::new(CodeRef::Procedure(procedure), locals);
-        frame.copyback = copyback;
-        self.processes[pid].frames.push(frame);
-        Ok(())
-    }
-
-    /// Pops the current frame. Returns `true` when the process stopped
-    /// running (finished) and the caller should stop stepping it.
-    fn leave_frame(&mut self, pid: usize) -> Result<bool, SimError> {
-        let frame = self.processes[pid].frames.pop().expect("frame");
-        for (slot, rp, ty) in &frame.copyback {
-            let v = coerce(frame.locals[*slot].clone(), ty);
-            self.write_resolved(pid, rp, v)?;
-        }
-        if self.processes[pid].frames.is_empty() {
-            let bidx = self.processes[pid].behavior;
-            if self.system.behaviors[bidx].repeats {
-                self.processes[pid].iterations += 1;
-                self.processes[pid]
-                    .frames
-                    .push(Frame::new(CodeRef::Behavior(bidx), Vec::new()));
-                Ok(false)
-            } else {
-                self.processes[pid].status = Status::Finished;
-                self.processes[pid].finish_time = Some(self.time);
-                Ok(true)
-            }
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// Ideal-channel write: store directly into the remote variable.
-    fn channel_write(
-        &mut self,
-        channel: ifsyn_spec::ChannelId,
-        addr: Option<i64>,
-        data: Value,
-    ) -> Result<(), SimError> {
-        // Borrow the type through the `'a` system reference instead of
-        // cloning it (array types heap-allocate their element box).
-        let system: &'a System = self.system;
-        let ch = system.channel(channel);
-        let var_idx = ch.variable.index();
-        let ty = &system.variables[var_idx].ty;
-        match addr {
-            Some(i) => {
-                let i = usize::try_from(i)
-                    .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
-                let elem_ty = match ty {
-                    Ty::Array { elem, .. } => &**elem,
-                    other => other,
-                };
-                match &mut self.vars[var_idx] {
-                    Value::Array(items) => {
-                        let slot = items.get_mut(i).ok_or_else(|| {
-                            SimError::eval(format!("channel address {i} out of range"))
-                        })?;
-                        *slot = coerce(data, elem_ty);
-                    }
-                    _ => {
-                        return Err(SimError::eval(
-                            "addressed channel write to non-array variable".to_string(),
-                        ))
-                    }
-                }
-            }
-            None => self.vars[var_idx] = coerce(data, ty),
-        }
-        Ok(())
-    }
-
-    /// Ideal-channel read: fetch directly from the remote variable.
-    fn channel_read(
-        &self,
-        channel: ifsyn_spec::ChannelId,
-        addr: Option<i64>,
-    ) -> Result<Value, SimError> {
-        let ch = self.system.channel(channel);
-        let var_idx = ch.variable.index();
-        match addr {
-            Some(i) => {
-                let i = usize::try_from(i)
-                    .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
-                match &self.vars[var_idx] {
-                    Value::Array(items) => items
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| SimError::eval(format!("channel address {i} out of range"))),
-                    _ => Err(SimError::eval(
-                        "addressed channel read from non-array variable".to_string(),
-                    )),
-                }
-            }
-            None => Ok(self.vars[var_idx].clone()),
-        }
-    }
-
     /// Builds the per-process wait diagnosis, or `None` when nothing is
     /// suspended on a wait.
-    fn diagnosis(&self) -> Option<DeadlockDiagnosis> {
-        let blocked_pids: Vec<usize> = self
+    fn diagnosis(&self, t: Tables<'_>) -> Option<DeadlockDiagnosis> {
+        let parked = self
             .processes
             .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p.status, Status::Waiting(_)))
-            .map(|(i, _)| i)
-            .collect();
-        if blocked_pids.is_empty() {
-            return None;
-        }
-        let blocked: Vec<BlockedWait> = blocked_pids
-            .iter()
-            .map(|&pid| {
-                let p = &self.processes[pid];
-                let wait = match &p.status {
-                    Status::Waiting(WaitKind::Signals) => {
+            .filter_map(|p| {
+                let Status::Waiting(kind) = &p.status else {
+                    return None;
+                };
+                let wait = match kind {
+                    WaitKind::Signals => {
                         let names: Vec<&str> = p
                             .registered
                             .iter()
@@ -2201,93 +1345,21 @@ impl<'a> Simulator<'a> {
                             .collect();
                         format!("wait on {}", names.join(", "))
                     }
-                    Status::Waiting(WaitKind::Until(cond)) => {
+                    WaitKind::Until(cond) => {
                         format!("wait until {}", render_expr(self.system, &cond.display))
                     }
-                    Status::Waiting(WaitKind::SignalIs(sig, v)) => {
+                    WaitKind::SignalIs(sig, v) => {
                         format!("wait until {} = {v}", self.system.signals[*sig].name)
                     }
-                    _ => unreachable!("filtered to waiting processes"),
                 };
-                let observed = p
-                    .registered
-                    .iter()
-                    .map(|&s| {
-                        (
-                            self.system.signals[s].name.clone(),
-                            self.signals[s].to_string(),
-                        )
-                    })
-                    .collect();
-                BlockedWait {
-                    behavior: self.system.behaviors[p.behavior].name.clone(),
+                Some(Parked {
+                    behavior: p.behavior,
                     wait,
-                    observed,
-                }
+                    sens: p.registered.clone(),
+                })
             })
             .collect();
-        // Wait-for edges: blocked A -> blocked B when B's code can write a
-        // signal A is sensitive to. With every potential writer of A's
-        // wakeup signals itself blocked, the cycle is unbreakable.
-        let writes: Vec<Vec<bool>> = blocked_pids
-            .iter()
-            .map(|&pid| self.written_signals(self.processes[pid].behavior))
-            .collect();
-        let edges: Vec<Vec<usize>> = blocked_pids
-            .iter()
-            .enumerate()
-            .map(|(i, &pid)| {
-                let sens = &self.processes[pid].registered;
-                (0..blocked_pids.len())
-                    .filter(|&j| j != i && sens.iter().any(|&s| writes[j][s]))
-                    .collect()
-            })
-            .collect();
-        let cycles = find_cycles(blocked_pids.len(), &edges)
-            .into_iter()
-            .map(|cycle| {
-                cycle
-                    .into_iter()
-                    .map(|i| {
-                        self.system.behaviors[self.processes[blocked_pids[i]].behavior]
-                            .name
-                            .clone()
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(DeadlockDiagnosis {
-            time: self.time,
-            blocked,
-            cycles,
-        })
-    }
-
-    /// Signals a behavior's code can drive, including through called
-    /// procedures (transitively). Indexed by signal index.
-    fn written_signals(&self, behavior: usize) -> Vec<bool> {
-        let mut out = vec![false; self.signals.len()];
-        let mut visited = vec![false; self.procedure_code.len()];
-        let block = self.behavior_code[behavior]
-            .as_ref()
-            .expect("code block taken");
-        let mut stack: Vec<&[Instr]> = vec![&block.instrs];
-        while let Some(instrs) = stack.pop() {
-            for instr in instrs {
-                match instr {
-                    Instr::SignalWrite { signal, .. } => out[signal.index()] = true,
-                    Instr::Call { procedure, .. } if !visited[*procedure] => {
-                        visited[*procedure] = true;
-                        let proc_block = self.procedure_code[*procedure]
-                            .as_ref()
-                            .expect("code block taken");
-                        stack.push(&proc_block.instrs);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out
+        diagnose(self.system, t.program, &self.signals, self.time, parked)
     }
 
     fn into_report(self) -> SimReport {
@@ -2350,12 +1422,119 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// The error for a compiled place whose type could not be resolved at
-/// compile time (today: a local referenced from a behavior body).
-pub(crate) fn untyped_place_error(root: &CRoot) -> SimError {
-    match root {
-        CRoot::Local(_) => SimError::eval("local slot referenced outside a procedure".to_string()),
-        CRoot::Var(_) => SimError::eval("place cannot be typed in this scope".to_string()),
+/// The scalar kernel as an interpreter client: one process running
+/// against the kernel's storage, with writes queued as pending or timed
+/// writes and time fast-forwarded past unobservable intervals.
+struct Running<'k, 'a> {
+    k: &'k mut Kernel<'a>,
+    pid: usize,
+}
+
+impl Machine for Running<'_, '_> {
+    const PARK_AT_WAIT: bool = false;
+
+    #[inline]
+    fn parts(&mut self) -> Parts<'_> {
+        let k = &mut *self.k;
+        Parts {
+            vars: &mut k.vars,
+            signals: &k.signals,
+            frames: &mut k.processes[self.pid].frames,
+            regs: &mut k.regs,
+        }
+    }
+
+    fn behavior(&self) -> usize {
+        self.k.processes[self.pid].behavior
+    }
+
+    fn now(&self) -> u64 {
+        self.k.time
+    }
+
+    fn step_limit(&self) -> u64 {
+        self.k.config.max_steps_per_activation
+    }
+
+    fn over_budget(&self, system: &System) -> SimError {
+        SimError::ZeroDelayLoop {
+            behavior: system.behaviors[self.behavior()].name.clone(),
+            time: self.k.time,
+        }
+    }
+
+    #[inline]
+    fn drive(&mut self, signal: usize, value: Value, cost: u32) -> Result<bool, SimError> {
+        if cost == 0 {
+            self.k.pending.push((signal, value, false));
+            return Ok(false);
+        }
+        self.k.processes[self.pid].active_cycles += u64::from(cost);
+        let wake = self.k.time + u64::from(cost);
+        match self.k.try_fast_advance_write(wake, signal, value)? {
+            None => Ok(false),
+            Some(value) => {
+                self.k.schedule_write(wake, signal, value, false);
+                self.k.sleep_until(self.pid, wake);
+                Ok(true)
+            }
+        }
+    }
+
+    #[inline]
+    fn elapse(&mut self, cycles: u64, busy: bool) -> Result<bool, SimError> {
+        if busy {
+            self.k.processes[self.pid].active_cycles += cycles;
+        }
+        let wake = self.k.time + cycles;
+        if self.k.try_fast_advance(wake)? {
+            return Ok(false);
+        }
+        self.k.sleep_until(self.pid, wake);
+        Ok(true)
+    }
+
+    fn park(&mut self, wait: &WaitSpec) {
+        let (k, pid) = (&mut *self.k, self.pid);
+        match wait {
+            WaitSpec::ForCycles(_) => unreachable!("timed waits elapse, never park"),
+            WaitSpec::OnSignals(signals) => k.register_wait(pid, WaitKind::Signals, signals),
+            WaitSpec::Until(cond) => {
+                k.register_wait(pid, WaitKind::Until(Arc::clone(cond)), &cond.sensitivity);
+            }
+            WaitSpec::UntilTimeout { cond, cycles } => {
+                k.register_wait(pid, WaitKind::Until(Arc::clone(cond)), &cond.sensitivity);
+                k.arm_watchdog(pid, k.time + cycles);
+            }
+            WaitSpec::UntilSignalIs { signal, value } => {
+                let idx = signal.index();
+                k.register_wait_one(pid, WaitKind::SignalIs(idx, value.clone()), idx);
+            }
+            WaitSpec::UntilSignalIsTimeout {
+                signal,
+                value,
+                cycles,
+            } => {
+                let idx = signal.index();
+                k.register_wait_one(pid, WaitKind::SignalIs(idx, value.clone()), idx);
+                k.arm_watchdog(pid, k.time + cycles);
+            }
+        }
+    }
+
+    fn restarted(&mut self) -> bool {
+        self.k.processes[self.pid].iterations += 1;
+        true
+    }
+
+    fn finished(&mut self) {
+        let p = &mut self.k.processes[self.pid];
+        p.status = Status::Finished;
+        p.finish_time = Some(self.k.time);
+    }
+
+    fn assert_passed(&mut self) {
+        self.k.assertions_checked += 1;
     }
 }
 
@@ -2373,42 +1552,5 @@ pub(crate) fn render_expr(system: &System, expr: &Expr) -> String {
             render_expr(system, rhs)
         ),
         _ => "<expr>".to_string(),
-    }
-}
-
-/// Writes `value` through a resolved navigation path.
-pub(crate) fn write_steps(root: &mut Value, steps: &[Step], value: Value) -> Result<(), SimError> {
-    match steps.split_first() {
-        None => {
-            *root = value;
-            Ok(())
-        }
-        Some((Step::Elem(i), rest)) => match root {
-            Value::Array(items) => {
-                let slot = items
-                    .get_mut(*i)
-                    .ok_or_else(|| SimError::eval(format!("array index {i} out of range")))?;
-                write_steps(slot, rest, value)
-            }
-            other => Err(SimError::eval(format!("indexing non-array value {other}"))),
-        },
-        Some((Step::Slice(hi, lo), rest)) => {
-            if !rest.is_empty() {
-                return Err(SimError::eval(
-                    "slice must be the last projection of a write target".to_string(),
-                ));
-            }
-            let ty = root.ty();
-            let mut bits = root.to_bits();
-            if *hi >= bits.width() {
-                return Err(SimError::eval(format!(
-                    "slice {hi} downto {lo} out of range for width {}",
-                    bits.width()
-                )));
-            }
-            bits.write_slice(*hi, *lo, &value.to_bits().resized(hi - lo + 1));
-            *root = Value::from_bits(&ty, &bits);
-            Ok(())
-        }
     }
 }

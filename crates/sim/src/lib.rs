@@ -52,8 +52,8 @@ mod error;
 mod eval;
 mod exec;
 mod fault;
+mod interp;
 mod kernel;
-mod lockstep;
 mod process;
 mod program;
 mod report;
@@ -73,7 +73,6 @@ pub use error::SimError;
 pub use exec::{ExprCode, MicroOp, Src};
 pub use fault::{Fault, FaultKind, FaultPlan, InjectedFault};
 pub use kernel::Simulator;
-pub use lockstep::{LockstepSim, LockstepStats};
 pub use program::{Code, CodeCache, CompiledCond, Instr, Program, WaitSpec};
 pub use report::{SimReport, TraceEvent};
 pub use shard::ParallelStats;

@@ -49,8 +49,9 @@ pub(crate) struct ResolvedPlace {
     pub steps: Vec<Step>,
 }
 
-/// A call frame.
-#[derive(Debug, Clone)]
+/// A call frame. `Eq + Hash` so the model checker can intern whole
+/// process control states.
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub(crate) struct Frame {
     /// The code block being executed.
     pub code: CodeRef,
@@ -76,6 +77,30 @@ impl Frame {
             loop_bounds: Vec::new(),
             copyback: Vec::new(),
         }
+    }
+}
+
+impl Clone for Frame {
+    fn clone(&self) -> Self {
+        Self {
+            code: self.code,
+            pc: self.pc,
+            locals: self.locals.clone(),
+            loop_bounds: self.loop_bounds.clone(),
+            copyback: self.copyback.clone(),
+        }
+    }
+
+    /// Buffer-reusing copy: the checker rebuilds its scratch states once
+    /// per explored state, so keeping the `Vec` spines alive is the
+    /// difference between an allocation-free hot loop and three
+    /// allocations per transition.
+    fn clone_from(&mut self, src: &Self) {
+        self.code = src.code;
+        self.pc = src.pc;
+        self.locals.clone_from(&src.locals);
+        self.loop_bounds.clone_from(&src.loop_bounds);
+        self.copyback.clone_from(&src.copyback);
     }
 }
 

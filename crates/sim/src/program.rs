@@ -468,6 +468,28 @@ fn block_key(env: u64, kind: u8, name: &str, body: &[Stmt]) -> u64 {
 }
 
 impl Program {
+    /// Signals a behavior's code can drive, including through called
+    /// procedures (transitively), over `signals` signals; indexed by
+    /// signal index.
+    pub(crate) fn written_signals(&self, behavior: usize, signals: usize) -> Vec<bool> {
+        let mut out = vec![false; signals];
+        let mut visited = vec![false; self.procedures.len()];
+        let mut stack: Vec<&[Instr]> = vec![&self.behaviors[behavior].instrs];
+        while let Some(instrs) = stack.pop() {
+            for instr in instrs {
+                match instr {
+                    Instr::SignalWrite { signal, .. } => out[signal.index()] = true,
+                    Instr::Call { procedure, .. } if !visited[*procedure] => {
+                        visited[*procedure] = true;
+                        stack.push(&self.procedures[*procedure].instrs);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
     /// Lowers every behavior and procedure of `system`.
     ///
     /// Statement costs default to the given [`CostModel`] when the

@@ -19,19 +19,18 @@
 //! scalar kernel at any thread count — the correctness bar the
 //! differential suite (`tests/parallel_differential.rs`) enforces.
 //!
-//! The interpreter below mirrors `kernel.rs`'s `run_steps` arm for arm;
-//! the two are kept honest by that same differential suite.
+//! Workers run the shared interpreter ([`crate::interp`]); only the
+//! [`Machine`] hooks below differ from the scalar kernel's.
 
 use std::sync::Arc;
 
-use ifsyn_spec::{ParamMode, SignalId, System, Ty, Value};
+use ifsyn_spec::{SignalId, System, Value};
 
 use crate::error::SimError;
-use crate::eval::{coerce, EvalCtx};
-use crate::exec::{self, CArg, CPath, CPathStep, CPlace, CRoot, ExprCode, RegFile};
-use crate::kernel::{untyped_place_error, write_steps};
-use crate::process::{CodeRef, Frame, Process, ResolvedPlace, Root, Status, Step};
-use crate::program::{Code, CompiledCond, Instr, WaitSpec};
+use crate::exec::RegFile;
+use crate::interp::{self, Machine, Parts, Tables};
+use crate::process::{Process, Status};
+use crate::program::{CompiledCond, WaitSpec};
 
 /// Aggregate counters of the parallel engine.
 ///
@@ -135,19 +134,13 @@ pub(crate) struct JobResult {
     pub outcomes: Vec<Outcome>,
 }
 
-/// Runs every process of `job` through the staged interpreter.
+/// Runs every process of `job` through the shared interpreter with
+/// staging hooks.
 ///
 /// Errors don't stop the shard — whether an error is *the* simulation
 /// error is decided by ready-order at the barrier, and a worker cannot
 /// know its position there.
-pub(crate) fn run_job(
-    system: &System,
-    behavior_code: &[Arc<Code>],
-    procedure_code: &[Arc<Code>],
-    max_steps: u64,
-    regs: &mut RegFile,
-    job: Job,
-) -> JobResult {
+pub(crate) fn run_job(t: Tables<'_>, max_steps: u64, regs: &mut RegFile, job: Job) -> JobResult {
     let Job {
         shard,
         time,
@@ -157,17 +150,20 @@ pub(crate) fn run_job(
     } = job;
     let mut outcomes = Vec::with_capacity(procs.len());
     for (pid, mut process) in procs {
-        let mut ex = Exec {
-            system,
-            behavior_code,
-            procedure_code,
+        let mut w = Worker {
             max_steps,
             time,
             snapshot: &snapshot,
             vars: &mut vars,
             regs: &mut *regs,
+            proc: &mut process,
+            ops: Vec::new(),
+            asserts: 0,
         };
-        let (ops, steps, asserts, error) = ex.run_one(&mut process);
+        let mut steps = 0u64;
+        let error = interp::run_until_suspend(t, &mut w, &mut steps).err();
+        let (ops, asserts) = (w.ops, w.asserts);
+        process.instrs_executed += steps;
         outcomes.push(Outcome {
             pid,
             process,
@@ -184,780 +180,123 @@ pub(crate) fn run_job(
     }
 }
 
-/// Evaluates compiled expression code against a worker's split storage
-/// (shard variables, the signal snapshot, the process's top frame).
-fn eval_shard<'s>(
-    vars: &'s [Value],
-    signals: &'s [Value],
-    locals: &'s [Value],
-    regs: &'s mut RegFile,
-    code: &'s ExprCode,
-) -> Result<&'s Value, SimError> {
-    let ctx = EvalCtx {
-        vars,
-        signals,
-        locals,
-    };
-    exec::eval_code(&ctx, code, regs)
-}
-
-/// The per-shard execution context: everything a worker may touch.
-struct Exec<'w> {
-    system: &'w System,
-    behavior_code: &'w [Arc<Code>],
-    procedure_code: &'w [Arc<Code>],
+/// One process's execution context inside a worker: its shard's
+/// variables, the round's signal snapshot, and the ops it stages.
+///
+/// Every suspension stages an op and ends the activation, because only
+/// the barrier (knowing the full round) can decide whether time may
+/// jump; a worker never advances time, so the zero-delay budget counts
+/// exactly like a scalar activation up to its first suspension.
+struct Worker<'w> {
     max_steps: u64,
     time: u64,
     snapshot: &'w [Value],
     vars: &'w mut [Value],
     regs: &'w mut RegFile,
+    proc: &'w mut Process,
+    ops: Vec<Staged>,
+    asserts: u64,
 }
 
-impl Exec<'_> {
-    /// Runs one process to its first suspension, finish or error,
-    /// mirroring the flush discipline of the kernel's `run_process`.
-    fn run_one(&mut self, proc: &mut Process) -> (Vec<Staged>, u64, u64, Option<SimError>) {
-        let mut ops = Vec::new();
-        let mut steps = 0u64;
-        let mut asserts = 0u64;
-        let error = self
-            .step_process(proc, &mut ops, &mut steps, &mut asserts)
-            .err();
-        proc.instrs_executed += steps;
-        (ops, steps, asserts, error)
-    }
+impl Machine for Worker<'_> {
+    const PARK_AT_WAIT: bool = false;
 
-    fn block(&self, code: CodeRef) -> Arc<Code> {
-        match code {
-            CodeRef::Behavior(i) => Arc::clone(&self.behavior_code[i]),
-            CodeRef::Procedure(i) => Arc::clone(&self.procedure_code[i]),
+    #[inline]
+    fn parts(&mut self) -> Parts<'_> {
+        Parts {
+            vars: &mut *self.vars,
+            signals: self.snapshot,
+            frames: &mut self.proc.frames,
+            regs: &mut *self.regs,
         }
     }
 
-    fn eval_in(&mut self, proc: &Process, code: &ExprCode) -> Result<Value, SimError> {
-        let frame = proc
-            .frames
-            .last()
-            .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-        Ok(eval_shard(self.vars, self.snapshot, &frame.locals, self.regs, code)?.clone())
+    fn behavior(&self) -> usize {
+        self.proc.behavior
     }
 
-    fn eval_bool_in(&mut self, proc: &Process, code: &ExprCode) -> Result<bool, SimError> {
-        let frame = proc
-            .frames
-            .last()
-            .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-        eval_shard(self.vars, self.snapshot, &frame.locals, self.regs, code)?
-            .as_bool()
-            .map_err(|e| SimError::eval(e.to_string()))
+    fn now(&self) -> u64 {
+        self.time
     }
 
-    fn eval_i64_in(&mut self, proc: &Process, code: &ExprCode) -> Result<i64, SimError> {
-        let frame = proc
-            .frames
-            .last()
-            .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-        eval_shard(self.vars, self.snapshot, &frame.locals, self.regs, code)?
-            .as_i64()
-            .map_err(|e| SimError::eval(e.to_string()))
+    fn step_limit(&self) -> u64 {
+        self.max_steps
     }
 
-    fn resolve_cpath(
-        &mut self,
-        proc: &Process,
-        path: &CPath,
-        frame_abs: usize,
-    ) -> Result<ResolvedPlace, SimError> {
-        let root = match path.root {
-            CRoot::Var(i) => Root::Var(i as usize),
-            CRoot::Local(s) => Root::Local {
-                frame: frame_abs,
-                slot: s as usize,
+    fn over_budget(&self, system: &System) -> SimError {
+        SimError::ZeroDelayLoop {
+            behavior: system.behaviors[self.proc.behavior].name.clone(),
+            time: self.time,
+        }
+    }
+
+    fn drive(&mut self, signal: usize, value: Value, cost: u32) -> Result<bool, SimError> {
+        if cost == 0 {
+            self.ops.push(Staged::Pending { signal, value });
+            return Ok(false);
+        }
+        self.proc.active_cycles += u64::from(cost);
+        self.ops.push(Staged::TimedWrite {
+            wake: self.time + u64::from(cost),
+            signal,
+            value,
+        });
+        Ok(true)
+    }
+
+    fn elapse(&mut self, cycles: u64, busy: bool) -> Result<bool, SimError> {
+        if busy {
+            self.proc.active_cycles += cycles;
+        }
+        self.ops.push(Staged::Sleep {
+            wake: self.time + cycles,
+        });
+        Ok(true)
+    }
+
+    fn park(&mut self, wait: &WaitSpec) {
+        let op = match wait {
+            WaitSpec::ForCycles(_) => unreachable!("timed waits elapse, never park"),
+            WaitSpec::OnSignals(signals) => Staged::WaitOn {
+                signals: signals.clone(),
+            },
+            WaitSpec::Until(cond) => Staged::WaitUntil {
+                cond: Arc::clone(cond),
+                deadline: None,
+            },
+            WaitSpec::UntilTimeout { cond, cycles } => Staged::WaitUntil {
+                cond: Arc::clone(cond),
+                deadline: Some(self.time + cycles),
+            },
+            WaitSpec::UntilSignalIs { signal, value } => Staged::WaitIs {
+                signal: signal.index(),
+                value: value.clone(),
+                deadline: None,
+            },
+            WaitSpec::UntilSignalIsTimeout {
+                signal,
+                value,
+                cycles,
+            } => Staged::WaitIs {
+                signal: signal.index(),
+                value: value.clone(),
+                deadline: Some(self.time + cycles),
             },
         };
-        let mut steps = Vec::with_capacity(path.steps.len());
-        for st in path.steps.iter() {
-            match st {
-                CPathStep::Elem(code) => {
-                    let i = self.eval_i64_in(proc, code)?;
-                    let i = usize::try_from(i)
-                        .map_err(|_| SimError::eval(format!("negative array index {i}")))?;
-                    steps.push(Step::Elem(i));
-                }
-                CPathStep::Slice(hi, lo) => steps.push(Step::Slice(*hi, *lo)),
-                CPathStep::DynSlice(code, width) => {
-                    let lo = self.eval_i64_in(proc, code)?;
-                    let lo = u32::try_from(lo)
-                        .map_err(|_| SimError::eval(format!("negative slice offset {lo}")))?;
-                    steps.push(Step::Slice(lo + width - 1, lo));
-                }
-            }
-        }
-        Ok(ResolvedPlace { root, steps })
+        self.ops.push(op);
     }
 
-    fn resolve_cplace(
-        &mut self,
-        proc: &Process,
-        place: &CPlace,
-        frame_abs: usize,
-    ) -> Result<(ResolvedPlace, Ty), SimError> {
-        match place {
-            CPlace::Var(i) => {
-                let decl = self
-                    .system
-                    .variables
-                    .get(*i as usize)
-                    .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?;
-                Ok((
-                    ResolvedPlace {
-                        root: Root::Var(*i as usize),
-                        steps: Vec::new(),
-                    },
-                    decl.ty.clone(),
-                ))
-            }
-            CPlace::Local(slot) => {
-                let slot = *slot as usize;
-                let ty = self.local_ty(proc, frame_abs, slot)?;
-                Ok((
-                    ResolvedPlace {
-                        root: Root::Local {
-                            frame: frame_abs,
-                            slot,
-                        },
-                        steps: Vec::new(),
-                    },
-                    ty,
-                ))
-            }
-            CPlace::Path(path) => {
-                let ty = path
-                    .ty
-                    .clone()
-                    .ok_or_else(|| untyped_place_error(&path.root))?;
-                let rp = self.resolve_cpath(proc, path, frame_abs)?;
-                Ok((rp, ty))
-            }
-        }
+    fn restarted(&mut self) -> bool {
+        self.proc.iterations += 1;
+        true
     }
 
-    fn local_ty(&self, proc: &Process, frame_abs: usize, slot: usize) -> Result<Ty, SimError> {
-        match proc.frames[frame_abs].code {
-            CodeRef::Procedure(p) => {
-                let pr = &self.system.procedures[p];
-                if slot < pr.slot_count() {
-                    Ok(pr.slot_ty(slot).clone())
-                } else {
-                    Err(SimError::eval(format!("missing local slot {slot}")))
-                }
-            }
-            CodeRef::Behavior(_) => Err(SimError::eval(
-                "local slot referenced outside a procedure".to_string(),
-            )),
-        }
+    fn finished(&mut self) {
+        self.proc.status = Status::Finished;
+        self.proc.finish_time = Some(self.time);
     }
 
-    fn read_cplace(&mut self, proc: &Process, place: &CPlace) -> Result<Value, SimError> {
-        match place {
-            CPlace::Var(i) => self
-                .vars
-                .get(*i as usize)
-                .cloned()
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}"))),
-            CPlace::Local(slot) => {
-                let frame = proc
-                    .frames
-                    .last()
-                    .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-                frame
-                    .locals
-                    .get(*slot as usize)
-                    .cloned()
-                    .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))
-            }
-            CPlace::Path(path) => {
-                let frame_abs = proc.frames.len() - 1;
-                let rp = self.resolve_cpath(proc, path, frame_abs)?;
-                self.read_resolved(proc, &rp)
-            }
-        }
-    }
-
-    fn read_resolved(&self, proc: &Process, rp: &ResolvedPlace) -> Result<Value, SimError> {
-        let mut cur: &Value = match rp.root {
-            Root::Var(i) => self
-                .vars
-                .get(i)
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?,
-            Root::Local { frame, slot } => proc
-                .frames
-                .get(frame)
-                .and_then(|f| f.locals.get(slot))
-                .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))?,
-        };
-        for (i, step) in rp.steps.iter().enumerate() {
-            match step {
-                Step::Elem(idx) => match cur {
-                    Value::Array(items) => {
-                        cur = items.get(*idx).ok_or_else(|| {
-                            SimError::eval(format!("array index {idx} out of range"))
-                        })?;
-                    }
-                    other => {
-                        return Err(SimError::eval(format!("indexing non-array value {other}")))
-                    }
-                },
-                Step::Slice(hi, lo) => {
-                    if i + 1 != rp.steps.len() {
-                        return Err(SimError::eval(
-                            "slice must be the last projection of a write target".to_string(),
-                        ));
-                    }
-                    let bits = cur.to_bits();
-                    if *hi >= bits.width() {
-                        return Err(SimError::eval(format!(
-                            "slice {hi} downto {lo} out of range for width {}",
-                            bits.width()
-                        )));
-                    }
-                    return Ok(Value::Bits(bits.slice(*hi, *lo)));
-                }
-            }
-        }
-        Ok(cur.clone())
-    }
-
-    fn write_resolved(
-        &mut self,
-        proc: &mut Process,
-        rp: &ResolvedPlace,
-        value: Value,
-    ) -> Result<(), SimError> {
-        let root: &mut Value = match rp.root {
-            Root::Var(i) => self
-                .vars
-                .get_mut(i)
-                .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?,
-            Root::Local { frame, slot } => proc
-                .frames
-                .get_mut(frame)
-                .and_then(|f| f.locals.get_mut(slot))
-                .ok_or_else(|| SimError::eval(format!("missing local slot {slot}")))?,
-        };
-        write_steps(root, &rp.steps, value)
-    }
-
-    fn write_cplace(
-        &mut self,
-        proc: &mut Process,
-        place: &CPlace,
-        value: Value,
-    ) -> Result<(), SimError> {
-        match place {
-            CPlace::Var(i) => {
-                let decl = self
-                    .system
-                    .variables
-                    .get(*i as usize)
-                    .ok_or_else(|| SimError::eval(format!("missing variable v{i}")))?;
-                self.vars[*i as usize] = coerce(value, &decl.ty);
-                Ok(())
-            }
-            CPlace::Local(slot) => {
-                let slot = *slot as usize;
-                let frame_abs = proc.frames.len() - 1;
-                let ty = self.local_ty(proc, frame_abs, slot)?;
-                let v = coerce(value, &ty);
-                proc.frames[frame_abs].locals[slot] = v;
-                Ok(())
-            }
-            CPlace::Path(path) => {
-                let ty = path
-                    .ty
-                    .clone()
-                    .ok_or_else(|| untyped_place_error(&path.root))?;
-                let frame_abs = proc.frames.len() - 1;
-                let rp = self.resolve_cpath(proc, path, frame_abs)?;
-                self.write_resolved(proc, &rp, coerce(value, &ty))
-            }
-        }
-    }
-
-    fn enter_procedure(
-        &mut self,
-        proc: &mut Process,
-        procedure: usize,
-        args: &[CArg],
-    ) -> Result<(), SimError> {
-        let pr = &self.system.procedures[procedure];
-        let caller_frame_abs = proc.frames.len() - 1;
-        let mut locals = Vec::with_capacity(pr.slot_count());
-        let mut copyback = Vec::new();
-        for (i, (arg, param)) in args.iter().zip(&pr.params).enumerate() {
-            match (arg, param.mode) {
-                (CArg::In(e), ParamMode::In) => {
-                    locals.push(coerce(self.eval_in(proc, e)?, &param.ty));
-                }
-                (CArg::Out(place), ParamMode::Out) => {
-                    locals.push(Value::default_of(&param.ty));
-                    copyback.push({
-                        let (rp, ty) = self.resolve_cplace(proc, place, caller_frame_abs)?;
-                        (i, rp, ty)
-                    });
-                }
-                (CArg::InOut(place), ParamMode::InOut) => {
-                    locals.push(coerce(self.read_cplace(proc, place)?, &param.ty));
-                    copyback.push({
-                        let (rp, ty) = self.resolve_cplace(proc, place, caller_frame_abs)?;
-                        (i, rp, ty)
-                    });
-                }
-                _ => {
-                    return Err(SimError::eval(format!(
-                        "argument mode mismatch calling `{}`",
-                        pr.name
-                    )))
-                }
-            }
-        }
-        for l in &pr.locals {
-            locals.push(Value::default_of(&l.ty));
-        }
-        let mut frame = Frame::new(CodeRef::Procedure(procedure), locals);
-        frame.copyback = copyback;
-        proc.frames.push(frame);
-        Ok(())
-    }
-
-    fn leave_frame(&mut self, proc: &mut Process) -> Result<bool, SimError> {
-        let frame = proc.frames.pop().expect("frame");
-        for (slot, rp, ty) in &frame.copyback {
-            let v = coerce(frame.locals[*slot].clone(), ty);
-            self.write_resolved(proc, rp, v)?;
-        }
-        if proc.frames.is_empty() {
-            let bidx = proc.behavior;
-            if self.system.behaviors[bidx].repeats {
-                proc.iterations += 1;
-                proc.frames
-                    .push(Frame::new(CodeRef::Behavior(bidx), Vec::new()));
-                Ok(false)
-            } else {
-                proc.status = Status::Finished;
-                proc.finish_time = Some(self.time);
-                Ok(true)
-            }
-        } else {
-            Ok(false)
-        }
-    }
-
-    fn channel_write(
-        &mut self,
-        channel: ifsyn_spec::ChannelId,
-        addr: Option<i64>,
-        data: Value,
-    ) -> Result<(), SimError> {
-        let ch = self.system.channel(channel);
-        let var_idx = ch.variable.index();
-        let ty = &self.system.variables[var_idx].ty;
-        match addr {
-            Some(i) => {
-                let i = usize::try_from(i)
-                    .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
-                let elem_ty = match ty {
-                    Ty::Array { elem, .. } => &**elem,
-                    other => other,
-                };
-                match &mut self.vars[var_idx] {
-                    Value::Array(items) => {
-                        let slot = items.get_mut(i).ok_or_else(|| {
-                            SimError::eval(format!("channel address {i} out of range"))
-                        })?;
-                        *slot = coerce(data, elem_ty);
-                    }
-                    _ => {
-                        return Err(SimError::eval(
-                            "addressed channel write to non-array variable".to_string(),
-                        ))
-                    }
-                }
-            }
-            None => self.vars[var_idx] = coerce(data, ty),
-        }
-        Ok(())
-    }
-
-    fn channel_read(
-        &self,
-        channel: ifsyn_spec::ChannelId,
-        addr: Option<i64>,
-    ) -> Result<Value, SimError> {
-        let ch = self.system.channel(channel);
-        let var_idx = ch.variable.index();
-        match addr {
-            Some(i) => {
-                let i = usize::try_from(i)
-                    .map_err(|_| SimError::eval(format!("negative channel address {i}")))?;
-                match &self.vars[var_idx] {
-                    Value::Array(items) => items
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| SimError::eval(format!("channel address {i} out of range"))),
-                    _ => Err(SimError::eval(
-                        "addressed channel read from non-array variable".to_string(),
-                    )),
-                }
-            }
-            None => Ok(self.vars[var_idx].clone()),
-        }
-    }
-
-    fn store_pc(proc: &mut Process, pc: usize) {
-        proc.frames.last_mut().expect("frame").pc = pc;
-    }
-
-    /// The staged interpreter loop, instruction-for-instruction the
-    /// kernel's `run_steps` minus the fast-forward paths: every
-    /// suspension stages an op and returns, because only the barrier
-    /// (knowing the full round) can decide whether time may jump.
-    fn step_process(
-        &mut self,
-        proc: &mut Process,
-        ops: &mut Vec<Staged>,
-        steps: &mut u64,
-        asserts: &mut u64,
-    ) -> Result<(), SimError> {
-        let (mut code_ref, mut pc) = {
-            let frame = proc
-                .frames
-                .last()
-                .ok_or_else(|| SimError::eval("process has no frame".to_string()))?;
-            (frame.code, frame.pc)
-        };
-        let mut block = self.block(code_ref);
-        // Zero-delay-loop budget: a worker never advances time, so the
-        // count never resets — identical to a scalar activation, which
-        // could only reset at its first suspension (where we stop).
-        let mut instant_steps = 0u64;
-        loop {
-            *steps += 1;
-            instant_steps += 1;
-            if instant_steps > self.max_steps {
-                return Err(SimError::ZeroDelayLoop {
-                    behavior: self.system.behaviors[proc.behavior].name.clone(),
-                    time: self.time,
-                });
-            }
-            let instr = &block.instrs[pc];
-            match instr {
-                Instr::Assign { place, value, cost } => {
-                    let v = match value.const_value() {
-                        Some(c) => c.clone(),
-                        None => self.eval_in(proc, value)?,
-                    };
-                    self.write_cplace(proc, place, v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        proc.active_cycles += u64::from(*cost);
-                        Self::store_pc(proc, pc);
-                        ops.push(Staged::Sleep {
-                            wake: self.time + u64::from(*cost),
-                        });
-                        return Ok(());
-                    }
-                }
-                Instr::SignalWrite {
-                    signal,
-                    value,
-                    cost,
-                } => {
-                    let v = match value.const_value() {
-                        Some(c) => c.clone(),
-                        None => {
-                            let raw = self.eval_in(proc, value)?;
-                            coerce(raw, &self.system.signal(*signal).ty)
-                        }
-                    };
-                    pc += 1;
-                    if *cost == 0 {
-                        ops.push(Staged::Pending {
-                            signal: signal.index(),
-                            value: v,
-                        });
-                    } else {
-                        proc.active_cycles += u64::from(*cost);
-                        Self::store_pc(proc, pc);
-                        ops.push(Staged::TimedWrite {
-                            wake: self.time + u64::from(*cost),
-                            signal: signal.index(),
-                            value: v,
-                        });
-                        return Ok(());
-                    }
-                }
-                Instr::Jump(t) => pc = *t,
-                Instr::JumpIfNot { cond, target } => {
-                    if self.eval_bool_in(proc, cond)? {
-                        pc += 1;
-                    } else {
-                        pc = *target;
-                    }
-                }
-                Instr::LoopInit { var, from, to } => {
-                    let bound = self.eval_i64_in(proc, to)?;
-                    let start = self.eval_in(proc, from)?;
-                    self.write_cplace(proc, var, start)?;
-                    proc.frames
-                        .last_mut()
-                        .expect("frame")
-                        .loop_bounds
-                        .push(bound);
-                    pc += 1;
-                }
-                Instr::LoopTest { var, exit } => {
-                    let fast = match var {
-                        CPlace::Var(v) => match self.vars.get(*v as usize) {
-                            Some(Value::Int { value, .. }) => Some(*value),
-                            _ => None,
-                        },
-                        CPlace::Local(slot) => {
-                            let frame = proc.frames.last().expect("frame");
-                            match frame.locals.get(*slot as usize) {
-                                Some(Value::Int { value, .. }) => Some(*value),
-                                _ => None,
-                            }
-                        }
-                        CPlace::Path(_) => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => self
-                            .read_cplace(proc, var)?
-                            .as_i64()
-                            .map_err(|e| SimError::eval(e.to_string()))?,
-                    };
-                    let frame = proc.frames.last_mut().expect("frame");
-                    let bound = *frame
-                        .loop_bounds
-                        .last()
-                        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
-                    if v > bound {
-                        frame.loop_bounds.pop();
-                        pc = *exit;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                Instr::LoopIncr { var, body, exit } => {
-                    let fast = match var {
-                        CPlace::Var(v) => match self.vars.get_mut(*v as usize) {
-                            Some(Value::Int { value, width }) if *width > 0 => {
-                                *value += 1;
-                                Some(*value)
-                            }
-                            _ => None,
-                        },
-                        CPlace::Local(slot) => {
-                            let frame = proc.frames.last_mut().expect("frame");
-                            match frame.locals.get_mut(*slot as usize) {
-                                Some(Value::Int { value, width }) if *width > 0 => {
-                                    *value += 1;
-                                    Some(*value)
-                                }
-                                _ => None,
-                            }
-                        }
-                        CPlace::Path(_) => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => {
-                            let (v, width) = {
-                                let cur = self.read_cplace(proc, var)?;
-                                let v = cur.as_i64().map_err(|e| SimError::eval(e.to_string()))?;
-                                let width = match &cur {
-                                    Value::Int { width, .. } => *width,
-                                    other => other.ty().bit_width(),
-                                };
-                                (v, width)
-                            };
-                            self.write_cplace(proc, var, Value::int(v + 1, width.max(1)))?;
-                            v + 1
-                        }
-                    };
-                    let frame = proc.frames.last_mut().expect("frame");
-                    let bound = *frame
-                        .loop_bounds
-                        .last()
-                        .ok_or_else(|| SimError::eval("loop bound stack empty".to_string()))?;
-                    if v > bound {
-                        frame.loop_bounds.pop();
-                        pc = *exit;
-                    } else {
-                        pc = *body;
-                    }
-                }
-                Instr::Wait(cond) => {
-                    pc += 1;
-                    match cond {
-                        WaitSpec::ForCycles(n) => {
-                            if *n > 0 {
-                                Self::store_pc(proc, pc);
-                                ops.push(Staged::Sleep {
-                                    wake: self.time + n,
-                                });
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::OnSignals(signals) => {
-                            Self::store_pc(proc, pc);
-                            ops.push(Staged::WaitOn {
-                                signals: signals.clone(),
-                            });
-                            return Ok(());
-                        }
-                        WaitSpec::Until(cond) => {
-                            let sat = self.eval_bool_in(proc, &cond.code)?;
-                            if !sat {
-                                Self::store_pc(proc, pc);
-                                ops.push(Staged::WaitUntil {
-                                    cond: Arc::clone(cond),
-                                    deadline: None,
-                                });
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilSignalIs { signal, value } => {
-                            if self.snapshot[signal.index()] != *value {
-                                Self::store_pc(proc, pc);
-                                ops.push(Staged::WaitIs {
-                                    signal: signal.index(),
-                                    value: value.clone(),
-                                    deadline: None,
-                                });
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilTimeout { cond, cycles } => {
-                            let sat = self.eval_bool_in(proc, &cond.code)?;
-                            if !sat {
-                                Self::store_pc(proc, pc);
-                                ops.push(Staged::WaitUntil {
-                                    cond: Arc::clone(cond),
-                                    deadline: Some(self.time + cycles),
-                                });
-                                return Ok(());
-                            }
-                        }
-                        WaitSpec::UntilSignalIsTimeout {
-                            signal,
-                            value,
-                            cycles,
-                        } => {
-                            if self.snapshot[signal.index()] != *value {
-                                Self::store_pc(proc, pc);
-                                ops.push(Staged::WaitIs {
-                                    signal: signal.index(),
-                                    value: value.clone(),
-                                    deadline: Some(self.time + cycles),
-                                });
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Instr::Call { procedure, args } => {
-                    let procedure = *procedure;
-                    Self::store_pc(proc, pc + 1);
-                    self.enter_procedure(proc, procedure, args)?;
-                    code_ref = CodeRef::Procedure(procedure);
-                    block = self.block(code_ref);
-                    pc = 0;
-                }
-                Instr::Ret => {
-                    if self.leave_frame(proc)? {
-                        return Ok(());
-                    }
-                    let (new_code, new_pc) = {
-                        let frame = proc.frames.last().expect("frame");
-                        (frame.code, frame.pc)
-                    };
-                    if new_code != code_ref {
-                        block = self.block(new_code);
-                        code_ref = new_code;
-                    }
-                    pc = new_pc;
-                }
-                Instr::ChannelSend {
-                    channel,
-                    addr,
-                    data,
-                    cost,
-                } => {
-                    let data_v = self.eval_in(proc, data)?;
-                    let addr_v = match addr {
-                        Some(a) => Some(self.eval_i64_in(proc, a)?),
-                        None => None,
-                    };
-                    self.channel_write(*channel, addr_v, data_v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        proc.active_cycles += u64::from(*cost);
-                        Self::store_pc(proc, pc);
-                        ops.push(Staged::Sleep {
-                            wake: self.time + u64::from(*cost),
-                        });
-                        return Ok(());
-                    }
-                }
-                Instr::ChannelReceive {
-                    channel,
-                    addr,
-                    target,
-                    cost,
-                } => {
-                    let addr_v = match addr {
-                        Some(a) => Some(self.eval_i64_in(proc, a)?),
-                        None => None,
-                    };
-                    let v = self.channel_read(*channel, addr_v)?;
-                    self.write_cplace(proc, target, v)?;
-                    pc += 1;
-                    if *cost > 0 {
-                        proc.active_cycles += u64::from(*cost);
-                        Self::store_pc(proc, pc);
-                        ops.push(Staged::Sleep {
-                            wake: self.time + u64::from(*cost),
-                        });
-                        return Ok(());
-                    }
-                }
-                Instr::Assert { cond, note } => {
-                    let ok = self.eval_bool_in(proc, cond)?;
-                    if !ok {
-                        return Err(SimError::AssertionFailed {
-                            behavior: self.system.behaviors[proc.behavior].name.clone(),
-                            note: note.clone(),
-                            time: self.time,
-                        });
-                    }
-                    *asserts += 1;
-                    pc += 1;
-                }
-                Instr::Consume { cycles } => {
-                    pc += 1;
-                    if *cycles > 0 {
-                        proc.active_cycles += *cycles;
-                        Self::store_pc(proc, pc);
-                        ops.push(Staged::Sleep {
-                            wake: self.time + *cycles,
-                        });
-                        return Ok(());
-                    }
-                }
-            }
-        }
+    fn assert_passed(&mut self) {
+        self.asserts += 1;
     }
 }

@@ -9,10 +9,13 @@
 //! error from the other is always a bug.
 
 use ifsyn_sim::testing::{eval_bytecode, eval_tree};
-use ifsyn_sim::{LockstepSim, SimConfig, Simulator};
+use ifsyn_sim::{CheckConfig, Checker, SimConfig, Simulator};
 use ifsyn_spec::dsl::*;
 use ifsyn_spec::rng::SplitMix64;
-use ifsyn_spec::{BinOp, BitVec, Expr, SignalId, Stmt, System, Ty, UnaryOp, Value, VarId};
+use ifsyn_spec::{
+    Arg, BinOp, BitVec, Expr, ParamMode, ProcId, Procedure, SignalId, Stmt, System, Ty, UnaryOp,
+    Value, VarId,
+};
 
 /// Bit widths the variable palette covers.
 const WIDTHS: [u32; 5] = [1, 4, 8, 16, 32];
@@ -393,44 +396,83 @@ fn bytecode_matches_tree_walk_on_place_reads() {
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep vs scalar: whole-simulation differential suite.
+// Kernel vs checker: whole-program differential suite.
 //
-// `LockstepSim` runs N parameter variants of one compiled program through a
-// single dispatch stream; lanes whose control flow diverges peel back to the
-// scalar kernel. The contract is total: for every input system the lockstep
-// result must be *field-for-field equal* to what the scalar `Simulator`
-// produces for that system alone — same finish times, same delta/instruction
-// counters, same final storage. These tests generate randomized behaviors
-// (branches, loops, waits, handshakes, procedure-free and data-dependent
-// control) and assert that equality lane by lane, including on lanes that
-// are forced to diverge mid-run.
+// The simulator executes one schedule of a refined system, the model
+// checker all of them, and both must give the bytecode one meaning. For
+// randomized two-process programs (branches, loops, waits, costed writes,
+// a handshake, and procedure calls passing `out` and `inout` arguments
+// through indexed paths) the scalar kernel's final valuation must be one of
+// the checker's terminal states, with and without partial-order reduction,
+// and the sharded kernel must reproduce the scalar report exactly.
 // ---------------------------------------------------------------------------
+
+/// Length of the producer's `arr` variable: `idx` ends every loop at most
+/// one past the largest bound (3), so `arr(idx)` is always in range.
+const ARR_LEN: usize = 5;
+
+/// The producer-side names the statement generator draws on.
+struct Ids {
+    seed: VarId,
+    acc: VarId,
+    idx: VarId,
+    arr: VarId,
+    data: SignalId,
+    bump: ProcId,
+}
+
+/// `bump(out o, inout io)`: a costed read-modify-write of `io` (so the
+/// call spans a scheduling point and the copy-back lands in a later atomic
+/// run of the checker), then `o := io - 1`.
+fn add_bump(sys: &mut System) -> ProcId {
+    let mut p = Procedure::new("bump");
+    let o = p.add_param("o", Ty::Int(16), ParamMode::Out);
+    let io = p.add_param("io", Ty::Int(16), ParamMode::InOut);
+    p.body = vec![
+        assign_cost(local(io), add(load(local(io)), int_const(3, 16)), 1),
+        assign(local(o), sub(load(local(io)), int_const(1, 16))),
+    ];
+    sys.add_procedure(p)
+}
 
 /// A randomized two-process system parameterized by `payload`, the initial
 /// value of the producer's seed variable. The statement mix is driven by
-/// `rng`, so equal seeds build structurally identical programs (one convoy)
-/// while payloads vary per lane.
+/// `rng`, so equal seeds build structurally identical programs while
+/// payloads vary.
 fn gen_system(rng: &mut SplitMix64, payload: i64) -> System {
-    let mut sys = System::new("lockdiff");
+    let mut sys = System::new("kdiff");
     let m = sys.add_module("chip");
     let req = sys.add_signal("REQ", Ty::Bit);
     let ack = sys.add_signal("ACK", Ty::Bit);
     let data = sys.add_signal("DATA", Ty::Int(16));
+    let bump = add_bump(&mut sys);
 
     let p = sys.add_behavior("producer", m);
-    let seed = sys.add_variable_init("seed", Ty::Int(16), p, Value::int(payload, 16));
-    let acc = sys.add_variable("acc", Ty::Int(16), p);
-    let idx = sys.add_variable("idx", Ty::Int(8), p);
+    let ids = Ids {
+        seed: sys.add_variable_init("seed", Ty::Int(16), p, Value::int(payload, 16)),
+        acc: sys.add_variable("acc", Ty::Int(16), p),
+        idx: sys.add_variable("idx", Ty::Int(8), p),
+        arr: sys.add_variable(
+            "arr",
+            Ty::Array {
+                elem: Box::new(Ty::Int(16)),
+                len: ARR_LEN as u32,
+            },
+            p,
+        ),
+        data,
+        bump,
+    };
 
     let mut body = Vec::new();
     let stmts = 3 + rng.below(5);
     for _ in 0..stmts {
-        body.push(gen_stmt(rng, seed, acc, idx, data, 2));
+        body.push(gen_stmt(rng, &ids, 2));
     }
     // A fixed handshake tail so the run always exercises signal waits,
     // wake-on and the projected-write machinery.
     body.extend([
-        drive_cost(data, load(var(acc)), 1),
+        drive_cost(data, load(var(ids.acc)), 1),
         drive_cost(req, bit_const(true), 1),
         wait_until(eq(signal(ack), bit_const(true))),
         drive_cost(req, bit_const(false), 1),
@@ -450,122 +492,129 @@ fn gen_system(rng: &mut SplitMix64, payload: i64) -> System {
 
 /// One random producer statement. Branch conditions compare the seed
 /// variable against thresholds inside the payload range, so a spread of
-/// payloads exercises both uniform and divergent control flow.
-fn gen_stmt(
-    rng: &mut SplitMix64,
-    seed: VarId,
-    acc: VarId,
-    idx: VarId,
-    data: SignalId,
-    depth: u32,
-) -> Stmt {
+/// payloads exercises both branches.
+fn gen_stmt(rng: &mut SplitMix64, ids: &Ids, depth: u32) -> Stmt {
     let pick = if depth == 0 {
-        rng.below(5)
+        rng.below(6)
     } else {
-        rng.below(8)
+        rng.below(9)
     };
     match pick {
         0 => assign(
-            var(acc),
-            add(load(var(acc)), int_const(rng.range_i64(1, 9), 16)),
+            var(ids.acc),
+            add(load(var(ids.acc)), int_const(rng.range_i64(1, 9), 16)),
         ),
         1 => assign_cost(
-            var(acc),
-            add(load(var(acc)), mul(load(var(seed)), int_const(2, 16))),
+            var(ids.acc),
+            add(
+                load(var(ids.acc)),
+                mul(load(var(ids.seed)), int_const(2, 16)),
+            ),
             rng.range_u32(1, 3),
         ),
         2 => Stmt::compute(rng.range_u64(1, 5), "work"),
         3 => wait_cycles(rng.range_u64(1, 4)),
-        4 => drive_cost(data, load(var(acc)), 1),
-        5 => if_else(
-            lt(load(var(seed)), int_const(rng.range_i64(10, 90), 16)),
-            vec![gen_stmt(rng, seed, acc, idx, data, depth - 1)],
-            vec![gen_stmt(rng, seed, acc, idx, data, depth - 1)],
+        4 => drive_cost(ids.data, load(var(ids.acc)), 1),
+        // `out` lands in `arr(idx)` (index captured at the call), `inout`
+        // reads and writes a fixed element; the two may alias.
+        5 => call(
+            ids.bump,
+            vec![
+                Arg::Out(index(var(ids.arr), load(var(ids.idx)))),
+                Arg::InOut(index(
+                    var(ids.arr),
+                    int_const(rng.range_i64(0, ARR_LEN as i64 - 1), 8),
+                )),
+            ],
+        ),
+        6 => if_else(
+            lt(load(var(ids.seed)), int_const(rng.range_i64(10, 90), 16)),
+            vec![gen_stmt(rng, ids, depth - 1)],
+            vec![gen_stmt(rng, ids, depth - 1)],
         ),
         // Loop bodies stay leaf-only (depth 0): all loops share the one
         // `idx` counter, and a nested loop resetting it would never let
         // the outer loop terminate.
-        6 => for_loop(
-            var(idx),
+        7 => for_loop(
+            var(ids.idx),
             int_const(0, 8),
-            int_const(rng.range_i64(1, 4), 8),
-            vec![gen_stmt(rng, seed, acc, idx, data, 0)],
+            int_const(rng.range_i64(1, 3), 8),
+            vec![gen_stmt(rng, ids, 0)],
         ),
         _ => if_then(
-            eq(load(var(seed)), int_const(rng.range_i64(0, 99), 16)),
-            vec![gen_stmt(rng, seed, acc, idx, data, depth - 1)],
+            eq(load(var(ids.seed)), int_const(rng.range_i64(0, 99), 16)),
+            vec![gen_stmt(rng, ids, depth - 1)],
         ),
     }
 }
 
-/// Runs `systems` through the lockstep engine and asserts every lane's
-/// report equals its own scalar run. Returns the stats for shape checks.
-fn check_lockstep(systems: &[System], seed: u64) -> ifsyn_sim::LockstepStats {
-    let config = SimConfig::new();
-    let (results, stats) = LockstepSim::run_with_stats(systems, &config, None);
-    assert_eq!(results.len(), systems.len());
-    for (i, (sys, got)) in systems.iter().zip(results).enumerate() {
-        let want = Simulator::with_config(sys, config.clone()).and_then(|s| s.run_to_quiescence());
-        assert_eq!(got, want, "lane {i} diverged from scalar (seed {seed})");
-    }
-    stats
-}
+/// The variables whose final values the kernel and the checker compare.
+const COMPARED: [&str; 4] = ["acc", "idx", "seen", "arr"];
 
 #[test]
-fn lockstep_matches_scalar_on_random_programs() {
-    for seed in 0..24u64 {
-        let mut rng = SplitMix64::new(0x10c5_7e90 + seed);
-        let lanes = 2 + rng.below(15) as usize; // 2..=16 variants
-        let payloads: Vec<i64> = (0..lanes).map(|_| rng.range_i64(0, 99)).collect();
-        // Rebuild from an identical statement stream per lane: clone the
-        // rng state so every lane gets the same program shape.
-        let systems: Vec<System> = payloads
+fn kernel_outcome_is_a_checker_terminal_state() {
+    let mut calls = 0usize;
+    for seed in 0..32u64 {
+        let mut rng = SplitMix64::new(0x6e7c_0000 + seed);
+        let payload = rng.range_i64(0, 99);
+        let sys = gen_system(&mut rng, payload);
+        calls += sys
+            .behaviors
             .iter()
-            .map(|&p| {
-                let mut lane_rng = SplitMix64::new(0xbead_0000 + seed);
-                gen_system(&mut lane_rng, p)
-            })
-            .collect();
-        let stats = check_lockstep(&systems, seed);
-        assert_eq!(
-            stats.convoys, 1,
-            "identical programs must form one convoy (seed {seed})"
-        );
-    }
-}
+            .map(|b| format!("{:?}", b.body).matches("Call {").count())
+            .sum::<usize>();
 
-#[test]
-fn lockstep_matches_scalar_with_forced_divergence() {
-    // Payloads straddling every generated threshold guarantee some lanes
-    // take different branches and peel; peeled lanes must still match
-    // their scalar runs exactly.
-    for seed in 0..12u64 {
-        let payloads = [0i64, 5, 42, 57, 88, 99];
-        let systems: Vec<System> = payloads
+        let scalar = Simulator::new(&sys)
+            .and_then(|s| s.run_to_quiescence())
+            .unwrap_or_else(|e| panic!("kernel failed (seed {seed}): {e}"));
+        assert_eq!(scalar.blocked_at_exit(), 0, "kernel blocked (seed {seed})");
+        let want: Vec<Value> = COMPARED
             .iter()
-            .map(|&p| {
-                let mut lane_rng = SplitMix64::new(0xd1ff_0000 + seed);
-                gen_system(&mut lane_rng, p)
+            .map(|name| {
+                scalar
+                    .final_variable_by_name(name)
+                    .expect("compared variable exists")
+                    .clone()
             })
             .collect();
-        check_lockstep(&systems, seed);
-    }
-}
 
-#[test]
-fn lockstep_identical_lanes_never_peel() {
-    for seed in 0..6u64 {
-        let systems: Vec<System> = (0..16)
-            .map(|_| {
-                let mut lane_rng = SplitMix64::new(0x5a5a_0000 + seed);
-                gen_system(&mut lane_rng, 37)
-            })
-            .collect();
-        let stats = check_lockstep(&systems, seed);
+        let sharded = Simulator::with_config(&sys, SimConfig::new().with_sim_threads(2))
+            .and_then(|s| s.run_to_quiescence());
         assert_eq!(
-            stats.peeled_lanes, 0,
-            "identical lanes peeled (seed {seed})"
+            sharded.as_ref(),
+            Ok(&scalar),
+            "sharded kernel diverged (seed {seed})"
         );
-        assert_eq!(stats.lockstep_lanes, 16);
+
+        for por in [true, false] {
+            let config = if por {
+                CheckConfig::new()
+            } else {
+                CheckConfig::new().without_por()
+            };
+            let checker = Checker::with_config(&sys, config).expect("checker builds");
+            let space = checker
+                .explore()
+                .unwrap_or_else(|e| panic!("checker failed (seed {seed}, por {por}): {e}"));
+            assert_eq!(
+                space.error_count(),
+                0,
+                "crash paths (seed {seed}, por {por})"
+            );
+            // The property "no terminal state matches the kernel" must
+            // fail: its counterexample is the kernel's own outcome.
+            let report = space.check_terminal("kernel_outcome_absent", |v| {
+                !(v.all_done()
+                    && COMPARED
+                        .iter()
+                        .zip(&want)
+                        .all(|(name, w)| v.variable(name) == Some(w)))
+            });
+            assert!(
+                !report.holds,
+                "kernel outcome {want:?} is not a checker terminal state (seed {seed}, por {por})"
+            );
+        }
     }
+    assert!(calls > 0, "no generated program calls a procedure");
 }

@@ -51,12 +51,6 @@
 //!   --check-limit STATES   stop exploring after STATES states and report
 //!                          BOUND verdicts instead of running out of
 //!                          memory on huge systems
-//!   --check-bitstate BITS  lossy bitstate dedup keyed by a 2^BITS
-//!                          fingerprint: invariant/terminal violations
-//!                          found are real, but a clean run is
-//!                          probabilistic, not a proof; leads-to checks
-//!                          report INCONC instead of FAIL (a collision
-//!                          can forge unreachability)
 //!   --check-no-por         disable partial-order reduction (explore the
 //!                          full interleaving graph)
 //!   --explore              print the width exploration table and exit
@@ -72,9 +66,6 @@
 //!                          --sweep-sim the automatic --jobs count
 //!                          shrinks so jobs x sim-threads stays within
 //!                          the machine's budget
-//!   --lockstep             with --sweep-sim: run width variants whose
-//!                          compiled programs match through the lockstep
-//!                          convoy engine (one dispatch stream, N lanes)
 //!
 //! `ifsyn analyze` runs the post-simulation bus analyzer: the spec is
 //! synthesized (honoring --width/--protocol/--channels/--min-width/...),
@@ -113,7 +104,6 @@ struct Options {
     check_faults: Vec<String>,
     check_threads: usize,
     check_limit: Option<usize>,
-    check_bitstate: Option<u32>,
     check_no_por: bool,
     print_vhdl: bool,
     vcd: Option<String>,
@@ -129,7 +119,6 @@ struct Options {
     sweep_sim: Option<(u32, u32)>,
     jobs: usize,
     sim_threads: usize,
-    lockstep: bool,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -495,10 +484,6 @@ fn check_refined(
     if let Some(limit) = options.check_limit {
         config = config.with_state_limit(limit);
     }
-    if let Some(bits) = options.check_bitstate {
-        config = config.with_bitstate(bits);
-        println!("bitstate dedup on ({bits} fingerprint bits): a clean run is not a proof");
-    }
     if options.check_no_por {
         config = config.without_por();
     }
@@ -535,9 +520,6 @@ fn check_refined(
         Some(w) => println!("worst-case completion over every schedule: {w} cycles"),
         None if space.bounded().is_some() => {
             println!("worst-case completion: unknown (exploration was bounded)")
-        }
-        None if options.check_bitstate.is_some() => {
-            println!("worst-case completion: unknown (bitstate dedup is lossy)")
         }
         None => println!("worst-case completion: unbounded (a reachable cycle exists)"),
     }
@@ -577,27 +559,15 @@ fn check_refined(
     }
 
     let mut failures = 0usize;
-    let mut inconclusive = 0usize;
     for rep in &reports {
         println!("{rep}");
-        match rep.verdict {
-            Verdict::Fail => failures += 1,
-            Verdict::Inconclusive => inconclusive += 1,
-            Verdict::Pass | Verdict::Bounded => {}
+        if rep.verdict == Verdict::Fail {
+            failures += 1;
         }
     }
     if failures > 0 {
         return Err(format!(
             "{failures} of {} propert{} violated",
-            reports.len(),
-            if reports.len() == 1 { "y" } else { "ies" }
-        )
-        .into());
-    }
-    if inconclusive > 0 {
-        return Err(format!(
-            "{inconclusive} of {} propert{} inconclusive under bitstate \
-             dedup — rerun without --check-bitstate to confirm",
             reports.len(),
             if reports.len() == 1 { "y" } else { "ies" }
         )
@@ -671,28 +641,13 @@ fn sweep_sim(
     }
     let runner = BatchRunner::new()
         .with_jobs(options.jobs)
-        .with_sim_threads(options.sim_threads.max(1))
-        .with_lockstep(options.lockstep);
+        .with_sim_threads(options.sim_threads.max(1));
     println!(
-        "\nbatch-simulating widths {lo}..={hi} over {} worker(s) x {} sim-thread(s){}",
+        "\nbatch-simulating widths {lo}..={hi} over {} worker(s) x {} sim-thread(s)",
         runner.jobs().min(systems.len().max(1)),
         runner.sim_threads(),
-        if options.lockstep { " in lockstep" } else { "" }
     );
-    let reports = if options.lockstep {
-        let (reports, stats) = runner.run_lockstep(&systems);
-        println!(
-            "lockstep: {} convoy(s), widest {} lane(s); {} lockstep / {} peeled / {} scalar",
-            stats.convoys,
-            stats.max_lanes,
-            stats.lockstep_lanes,
-            stats.peeled_lanes,
-            stats.scalar_lanes
-        );
-        reports
-    } else {
-        runner.run(&systems)
-    };
+    let reports = runner.run(&systems);
     println!("\nwidth  quiescent at  instrs executed");
     for (width, report) in (lo..=hi).zip(&reports) {
         match report {
@@ -725,7 +680,13 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
                         .collect(),
                 )
             }
-            "--width" => o.width = Some(value_of("--width")?.parse()?),
+            "--width" => {
+                let w = value_of("--width")?.parse()?;
+                if w == 0 {
+                    return Err("--width must be at least 1".into());
+                }
+                o.width = Some(w);
+            }
             "--protocol" => {
                 let v = value_of("--protocol")?;
                 o.protocol = match v.as_str() {
@@ -773,7 +734,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
             "--check-fault" => o.check_faults.push(value_of("--check-fault")?),
             "--check-threads" => o.check_threads = value_of("--check-threads")?.parse()?,
             "--check-limit" => o.check_limit = Some(value_of("--check-limit")?.parse()?),
-            "--check-bitstate" => o.check_bitstate = Some(value_of("--check-bitstate")?.parse()?),
             "--check-no-por" => o.check_no_por = true,
             "--print-vhdl" => o.print_vhdl = true,
             "--vcd" => o.vcd = Some(value_of("--vcd")?),
@@ -797,7 +757,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, Box<dy
             }
             "--jobs" => o.jobs = value_of("--jobs")?.parse()?,
             "--sim-threads" => o.sim_threads = value_of("--sim-threads")?.parse()?,
-            "--lockstep" => o.lockstep = true,
             other if !other.starts_with('-') && o.spec_path.is_none() => {
                 o.spec_path = Some(other.to_string())
             }
@@ -951,13 +910,11 @@ mod tests {
 
     #[test]
     fn parses_sweep_sim_and_jobs() {
-        let o = parse(&["s.ifs", "--sweep-sim", "1-30", "--jobs", "4", "--lockstep"]);
+        let o = parse(&["s.ifs", "--sweep-sim", "1-30", "--jobs", "4"]);
         assert_eq!(o.sweep_sim, Some((1, 30)));
         assert_eq!(o.jobs, 4);
-        assert!(o.lockstep);
-        // Unset jobs means automatic; lockstep defaults off.
+        // Unset jobs means automatic.
         assert_eq!(parse(&["s.ifs"]).jobs, 0);
-        assert!(!parse(&["s.ifs"]).lockstep);
     }
 
     #[test]
@@ -1001,6 +958,14 @@ mod tests {
         // `analyze` is only a subcommand before the spec path; after one
         // it is neither a flag nor a second path.
         assert!(parse_args(["spec.ifs", "analyze"].map(String::from).into_iter()).is_err());
+        // A zero bus width is rejected up front, not by a panic in busgen.
+        for args in [
+            &["s.ifs", "--width", "0"][..],
+            &["analyze", "s.ifs", "--width", "0"][..],
+        ] {
+            let err = parse_args(args.iter().map(|a| a.to_string())).unwrap_err();
+            assert_eq!(err.to_string(), "--width must be at least 1");
+        }
     }
 
     #[test]
@@ -1043,19 +1008,15 @@ mod tests {
             "4",
             "--check-limit",
             "500000",
-            "--check-bitstate",
-            "28",
             "--check-no-por",
         ]);
         assert_eq!(o.check_threads, 4);
         assert_eq!(o.check_limit, Some(500_000));
-        assert_eq!(o.check_bitstate, Some(28));
         assert!(o.check_no_por);
         // Defaults: scalar exact POR exploration, unbounded.
         let o = parse(&["s.ifs", "--check"]);
         assert_eq!(o.check_threads, 0);
         assert_eq!(o.check_limit, None);
-        assert_eq!(o.check_bitstate, None);
         assert!(!o.check_no_por);
     }
 

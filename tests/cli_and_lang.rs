@@ -93,10 +93,15 @@ fn ifsyn_binary() -> &'static str {
     env!("CARGO_BIN_EXE_ifsyn")
 }
 
+/// Writes the FLC spec to a file of its own per call: tests run in
+/// parallel, and a shared path would let one test's write truncate the
+/// file while another test's `ifsyn` is reading it.
 fn spec_file() -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join("ifsyn-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("flc.ifs");
+    let path = dir.join(format!("flc-{n}.ifs"));
     std::fs::write(&path, FLC_SRC).unwrap();
     path
 }
