@@ -95,13 +95,6 @@ impl BatchRunner {
         self.config.sim_threads.max(1)
     }
 
-    /// Total threads a batch may keep busy: `jobs() × sim_threads()`.
-    /// This is the number throughput reports should quote.
-    #[must_use]
-    pub fn total_threads(&self) -> usize {
-        self.jobs() * self.sim_threads()
-    }
-
     /// Distinct code blocks compiled so far (shared across all runs).
     #[must_use]
     pub fn cached_blocks(&self) -> usize {
@@ -214,17 +207,15 @@ mod tests {
 
     #[test]
     fn jobs_and_sim_threads_share_one_budget() {
-        // Explicit jobs are honored verbatim and the total multiplies.
+        // Explicit jobs are honored verbatim.
         let pinned = BatchRunner::new().with_jobs(2).with_sim_threads(3);
         assert_eq!(pinned.jobs(), 2);
         assert_eq!(pinned.sim_threads(), 3);
-        assert_eq!(pinned.total_threads(), 6);
         // Automatic jobs divide the sweep budget: a per-sim thread count
         // at least the whole budget leaves exactly one batch worker.
         let budget = crate::sweep::sweep_threads();
         let auto = BatchRunner::new().with_sim_threads(budget * 2);
         assert_eq!(auto.jobs(), 1);
-        assert_eq!(auto.total_threads(), budget * 2);
     }
 
     #[test]

@@ -21,8 +21,6 @@ use ifsyn_systems::flc::{self, CONV_COMPUTE_CYCLES, EVAL_COMPUTE_CYCLES, FLC_ACC
 use crate::sweep::parallel_sweep;
 use crate::table::Table;
 
-pub use crate::sweep::sweep_threads;
-
 /// One width's results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fig7Row {
@@ -51,7 +49,7 @@ pub struct Fig7Data {
     /// (CONV_R2 <= 2000 clocks).
     pub min_width_for_2000_clocks: u32,
     /// Kernel instructions executed over all simulations of the sweep
-    /// (throughput accounting for `BENCH_sim.json`).
+    /// (pinned exactly by the `pinned_counts` test).
     pub total_instrs: u64,
 }
 

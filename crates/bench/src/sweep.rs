@@ -23,8 +23,7 @@ pub fn set_sweep_threads(n: usize) {
 ///
 /// Resolution order: [`set_sweep_threads`] override, the
 /// `IFSYN_SWEEP_THREADS` environment variable, then one per available
-/// core. The resolved count is what `BENCH_sim.json` records as
-/// `sweep_threads`, so the file always reflects the actual fan-out.
+/// core.
 pub fn sweep_threads() -> usize {
     let forced = SWEEP_THREADS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {

@@ -387,7 +387,8 @@ pub struct CheckStats {
     pub threads: usize,
     /// Full `CkState` materializations allocated over the exploration
     /// (scratch states are reused, so this stays O(threads), not
-    /// O(states) — asserted by the perf smoke test).
+    /// O(states) — asserted by `exploration_reuses_scratch_states` and
+    /// the `check_differential` suite).
     pub state_allocs: u64,
 }
 

@@ -72,10 +72,9 @@
 //!   every verdict this module can produce; failing checks are replayed
 //!   through an unreduced exploration so failure reports stay
 //!   byte-identical to the seed explorer's. Property predicates read
-//!   state through [`StateView`] by name; declare what they read with
-//!   [`CheckConfig::with_observed_signals`] /
-//!   [`CheckConfig::with_observed_variables`] to unlock reduction over
-//!   the rest (by default everything is treated as observed);
+//!   state through [`StateView`] by name; declare the variables they read
+//!   with [`CheckConfig::with_observed_variables`] to unlock reduction
+//!   over the rest (by default everything is treated as observed);
 //! * **parallel frontier expansion** — [`CheckConfig::with_check_threads`]
 //!   expands each BFS level across threads with a serial in-order commit,
 //!   so state numbering, traces and verdicts are byte-identical at every
@@ -167,9 +166,6 @@ pub struct CheckConfig {
     pub state_limit: Option<usize>,
     /// Partial-order reduction (on by default; verdict-preserving).
     pub por: bool,
-    /// Signals property predicates may read, by name (`None` = all).
-    /// Currently advisory: signal-writing steps are never reduced.
-    pub observed_signals: Option<Vec<String>>,
     /// Variables property predicates may read, by name (`None` = all).
     /// Narrowing this is what unlocks reduction over private data paths.
     pub observed_variables: Option<Vec<String>>,
@@ -185,7 +181,6 @@ impl Default for CheckConfig {
             threads: 1,
             state_limit: None,
             por: true,
-            observed_signals: None,
             observed_variables: None,
         }
     }
@@ -230,13 +225,6 @@ impl CheckConfig {
         self
     }
 
-    /// Declares the signals property predicates may read (all others are
-    /// invisible to properties).
-    pub fn with_observed_signals(mut self, names: Vec<String>) -> Self {
-        self.observed_signals = Some(names);
-        self
-    }
-
     /// Declares the variables property predicates may read (all others
     /// are invisible to properties, unlocking reduction over them).
     pub fn with_observed_variables(mut self, names: Vec<String>) -> Self {
@@ -274,8 +262,8 @@ impl<'a> Checker<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidSystem`] if the system fails validation,
-    /// a configured fault names an unknown signal, or an observed-state
-    /// declaration names an unknown signal or variable.
+    /// a configured fault names an unknown signal, or an observed-variable
+    /// declaration names an unknown variable.
     pub fn with_config(system: &'a System, config: CheckConfig) -> Result<Self, SimError> {
         system.check().map_err(|e| SimError::InvalidSystem {
             message: e.to_string(),
@@ -298,15 +286,6 @@ impl<'a> Checker<'a> {
                     message: format!("check fault names unknown signal `{}`", f.signal_name()),
                 })?;
             faults.push((idx, f.clone()));
-        }
-        if let Some(names) = &config.observed_signals {
-            for name in names {
-                if !system.signals.iter().any(|s| &s.name == name) {
-                    return Err(SimError::InvalidSystem {
-                        message: format!("check observes unknown signal `{name}`"),
-                    });
-                }
-            }
         }
         let mut observed_var = vec![config.observed_variables.is_none(); system.variables.len()];
         if let Some(names) = &config.observed_variables {
